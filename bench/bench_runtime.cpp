@@ -142,7 +142,8 @@ void BM_Phase1(benchmark::State& state) {
   state.counters["states/s"] = benchmark::Counter(
       static_cast<double>(total.dp_states), benchmark::Counter::kIsRate);
   state.counters["dp_probes"] = static_cast<double>(total.dp_probes);
-  state.counters["spec_hits"] = static_cast<double>(total.speculative_hits);
+  state.counters["spec_hits"] =
+      static_cast<double>(total.phase1_speculative_hits);
 #endif
 }
 BENCHMARK(BM_Phase1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);

@@ -86,45 +86,19 @@ struct Interval {
   const PatternOp* op;
 };
 
-/// The event sweep shared by validate_pattern and sweep_processor_memory:
-/// evaluate the in-flight activation bytes of `stages` at every F/B
-/// completion instant (mod T). `fwd`/`bwd` are indexed by stage.
-MemorySweep sweep_memory_events(const std::vector<const PatternOp*>& fwd,
-                                const std::vector<const PatternOp*>& bwd,
-                                const std::vector<int>& stages,
-                                const Partitioning& parts, const Chain& chain,
-                                Seconds T, double tol) {
-  MemorySweep sweep;
-  sweep.stages = stages;
-  sweep.stage_max_inflight.assign(stages.size(), 0);
+std::string negative_inflight_error(int stage) {
+  return "negative in-flight count for stage " + std::to_string(stage) +
+         " (backward ahead of forward)";
+}
 
-  // Event times: all F/B completion instants (mod T) on this processor.
-  std::vector<Seconds> events{0.0};
-  for (const int s : stages) {
-    events.push_back(std::fmod(fwd[s]->start + fwd[s]->duration, T));
-    events.push_back(std::fmod(bwd[s]->start + bwd[s]->duration, T));
+std::vector<Bytes> stored_activations_by_stage(const Partitioning& parts,
+                                               const Chain& chain) {
+  std::vector<Bytes> bytes(static_cast<std::size_t>(parts.num_stages()));
+  for (int s = 0; s < parts.num_stages(); ++s) {
+    bytes[static_cast<std::size_t>(s)] =
+        parts.stage_stored_activations(chain, s);
   }
-
-  for (const Seconds tau : events) {
-    Bytes inflight_bytes = 0.0;
-    for (std::size_t j = 0; j < stages.size(); ++j) {
-      const int s = stages[j];
-      const long long q = inflight_at(*fwd[s], *bwd[s], tau, T, tol);
-      if (q < 0) {
-        sweep.error = "negative in-flight count for stage " +
-                      std::to_string(s) + " (backward ahead of forward)";
-        return sweep;
-      }
-      sweep.stage_max_inflight[j] =
-          std::max(sweep.stage_max_inflight[j], static_cast<int>(q));
-      inflight_bytes += static_cast<double>(q) *
-                        parts.stage_stored_activations(chain, s);
-    }
-    sweep.points.push_back({tau, inflight_bytes});
-    sweep.peak_activation_bytes =
-        std::max(sweep.peak_activation_bytes, inflight_bytes);
-  }
-  return sweep;
+  return bytes;
 }
 
 std::string op_name(const PatternOp& op) {
@@ -177,6 +151,46 @@ void check_resource_packing(const std::vector<Interval>& intervals,
 
 }  // namespace
 
+void completion_instants(std::span<const PatternOp* const> fwd,
+                         std::span<const PatternOp* const> bwd,
+                         std::span<const int> stages, Seconds period,
+                         std::vector<Seconds>& instants) {
+  instants.clear();
+  instants.push_back(0.0);
+  for (const int s : stages) {
+    instants.push_back(std::fmod(fwd[s]->start + fwd[s]->duration, period));
+    instants.push_back(std::fmod(bwd[s]->start + bwd[s]->duration, period));
+  }
+}
+
+InflightPeak sweep_inflight(std::span<const PatternOp* const> fwd,
+                            std::span<const PatternOp* const> bwd,
+                            std::span<const int> stages,
+                            std::span<const Bytes> stage_bytes,
+                            std::span<const Seconds> instants, Seconds period,
+                            double tolerance,
+                            std::span<int> stage_max_inflight) {
+  InflightPeak result;
+  for (const Seconds tau : instants) {
+    Bytes inflight_bytes = 0.0;
+    for (std::size_t j = 0; j < stages.size(); ++j) {
+      const int s = stages[j];
+      const long long q =
+          inflight_at(*fwd[s], *bwd[s], tau, period, tolerance);
+      if (q < 0) {
+        result.negative_stage = s;
+        return result;
+      }
+      stage_max_inflight[j] =
+          std::max(stage_max_inflight[j], static_cast<int>(q));
+      inflight_bytes += static_cast<double>(q) * stage_bytes[s];
+    }
+    result.peak_activation_bytes =
+        std::max(result.peak_activation_bytes, inflight_bytes);
+  }
+  return result;
+}
+
 MemorySweep sweep_processor_memory(const PeriodicPattern& pattern,
                                    const Allocation& allocation,
                                    const Chain& chain, int processor,
@@ -202,8 +216,27 @@ MemorySweep sweep_processor_memory(const PeriodicPattern& pattern,
       return sweep;
     }
   }
-  return sweep_memory_events(fwd, bwd, stages, parts, chain, pattern.period,
-                             tolerance);
+  // One instant per call, so each point is that instant's in-flight bytes.
+  MemorySweep sweep;
+  sweep.stages = stages;
+  sweep.stage_max_inflight.assign(stages.size(), 0);
+  const std::vector<Bytes> stage_bytes =
+      stored_activations_by_stage(parts, chain);
+  std::vector<Seconds> instants;
+  completion_instants(fwd, bwd, stages, pattern.period, instants);
+  for (const Seconds tau : instants) {
+    const InflightPeak at =
+        sweep_inflight(fwd, bwd, stages, stage_bytes, {&tau, 1},
+                       pattern.period, tolerance, sweep.stage_max_inflight);
+    if (!at.ok()) {
+      sweep.error = negative_inflight_error(at.negative_stage);
+      return sweep;
+    }
+    sweep.points.push_back({tau, at.peak_activation_bytes});
+    sweep.peak_activation_bytes =
+        std::max(sweep.peak_activation_bytes, at.peak_activation_bytes);
+  }
+  return sweep;
 }
 
 ValidationResult validate_pattern(const PeriodicPattern& pattern,
@@ -336,19 +369,25 @@ ValidationResult validate_pattern(const PeriodicPattern& pattern,
   result.stage_active_batches.assign(num_stages, 0);
   result.processor_memory_peak.assign(allocation.num_processors(), 0.0);
 
+  const std::vector<Bytes> stage_bytes =
+      stored_activations_by_stage(parts, chain);
+  std::vector<Seconds> instants;
+  std::vector<int> max_inflight;
   for (int p = 0; p < allocation.num_processors(); ++p) {
     const std::vector<int> stages = allocation.stages_on(p);
     const Bytes static_mem = allocation.static_memory(chain, p);
 
-    const MemorySweep sweep =
-        sweep_memory_events(fwd, bwd, stages, parts, chain, T, tol);
+    completion_instants(fwd, bwd, stages, T, instants);
+    max_inflight.assign(stages.size(), 0);
+    const InflightPeak sweep = sweep_inflight(fwd, bwd, stages, stage_bytes,
+                                              instants, T, tol, max_inflight);
     if (!sweep.ok()) {
-      result.fail(sweep.error);
+      result.fail(negative_inflight_error(sweep.negative_stage));
       return result;
     }
     for (std::size_t j = 0; j < stages.size(); ++j) {
-      result.stage_active_batches[stages[j]] = std::max(
-          result.stage_active_batches[stages[j]], sweep.stage_max_inflight[j]);
+      result.stage_active_batches[stages[j]] =
+          std::max(result.stage_active_batches[stages[j]], max_inflight[j]);
     }
     result.processor_memory_peak[p] = static_mem + sweep.peak_activation_bytes;
 

@@ -16,6 +16,7 @@
 //      plus static weights and communication buffers, against M.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,38 @@ MemorySweep sweep_processor_memory(const PeriodicPattern& pattern,
                                    const Allocation& allocation,
                                    const Chain& chain, int processor,
                                    double tolerance = 1e-7);
+
+/// Fill `instants` with 0 followed by the F and B completion instants
+/// (mod `period`) of `stages`, in stage order: the instants at which the
+/// in-flight activation count of a processor holding `stages` can change.
+/// `fwd`/`bwd` are indexed by stage.
+void completion_instants(std::span<const PatternOp* const> fwd,
+                         std::span<const PatternOp* const> bwd,
+                         std::span<const int> stages, Seconds period,
+                         std::vector<Seconds>& instants);
+
+/// Result of sweep_inflight.
+struct InflightPeak {
+  Bytes peak_activation_bytes = 0.0;  ///< max over the swept instants
+  int negative_stage = -1;  ///< a stage whose backward runs ahead, or −1
+  bool ok() const noexcept { return negative_stage < 0; }
+};
+
+/// The one in-flight activation arithmetic of this library: validate_pattern,
+/// sweep_processor_memory and the branch-and-bound leaf check all call it,
+/// so their memory verdicts agree bit for bit. At each of `instants` (in
+/// order) it counts every stage's in-flight batches, sums the stored bytes
+/// in stage order and keeps the peak; it stops at the first negative count.
+/// `stage_bytes` holds Partitioning::stage_stored_activations by stage, and
+/// `stage_max_inflight` (parallel to `stages`) is raised to each stage's
+/// largest count. Writes only into the caller's buffers.
+InflightPeak sweep_inflight(std::span<const PatternOp* const> fwd,
+                            std::span<const PatternOp* const> bwd,
+                            std::span<const int> stages,
+                            std::span<const Bytes> stage_bytes,
+                            std::span<const Seconds> instants, Seconds period,
+                            double tolerance,
+                            std::span<int> stage_max_inflight);
 
 struct ValidationResult {
   bool valid = true;

@@ -32,30 +32,66 @@ class Search {
         period_(period),
         options_(options),
         eps_(1e-9 * period) {
-    // Dense resource indexing.
+    const std::size_t num_ops = problem.ops.size();
+    // Dense resource ids, resolved once per op.
+    std::map<ResourceId, int> resource_index;
+    op_resource_.reserve(num_ops);
     for (const CyclicOp& op : problem.ops) {
-      if (!resource_index_.contains(op.resource)) {
-        const int index = static_cast<int>(resource_index_.size());
-        resource_index_.emplace(op.resource, index);
-      }
+      const auto it = resource_index.emplace(
+          op.resource, static_cast<int>(resource_index.size())).first;
+      op_resource_.push_back(it->second);
     }
-    occupied_.resize(resource_index_.size());
-    z_.assign(problem.ops.size(), 0.0);
+    occupied_.resize(resource_index.size());
+    z_.assign(num_ops, 0.0);
+    candidates_.resize(num_ops);
 
-    const int num_stages = allocation.partitioning().num_stages();
+    const Partitioning& parts = allocation.partitioning();
+    const int num_stages = parts.num_stages();
     forward_shift_.assign(num_stages, 0);
     stage_bytes_.resize(num_stages);
     for (int s = 0; s < num_stages; ++s) {
-      stage_bytes_[s] =
-          allocation.partitioning().stage_stored_activations(chain, s);
+      stage_bytes_[s] = parts.stage_stored_activations(chain, s);
     }
     const int procs = allocation.num_processors();
     static_memory_.resize(procs);
     resident_floor_.assign(procs, 0.0);
+    proc_stages_.resize(procs);
+    std::size_t most_stages = 0;
     for (int p = 0; p < procs; ++p) {
       static_memory_[p] = allocation.static_memory(chain, p);
+      proc_stages_[p] = allocation.stages_on(p);
+      most_stages = std::max(most_stages, proc_stages_[p].size());
+    }
+    max_inflight_.resize(most_stages);
+
+    // The leaf pattern is built in place; the memory sweep reads each
+    // stage's F/B op through these pointers into it.
+    leaf_.period = period;
+    leaf_.ops.resize(num_ops);
+    leaf_fwd_.assign(num_stages, nullptr);
+    leaf_bwd_.assign(num_stages, nullptr);
+    for (std::size_t i = 0; i < num_ops; ++i) {
+      const CyclicOp& op = problem.ops[i];
+      if (op.kind == OpKind::Forward) {
+        leaf_fwd_[op.stage] = &leaf_.ops[i];
+        compute_ops_.push_back(i);
+      } else if (op.kind == OpKind::Backward) {
+        leaf_bwd_[op.stage] = &leaf_.ops[i];
+        compute_ops_.push_back(i);
+      } else {
+        comm_ops_.push_back(i);
+      }
+    }
+    for (int s = 0; s < num_stages; ++s) {
+      MP_EXPECT(leaf_fwd_[s] != nullptr && leaf_bwd_[s] != nullptr,
+                "cyclic problem misses a stage's F or B op");
     }
   }
+
+  // leaf_fwd_/leaf_bwd_ point into leaf_: a copy would point into the
+  // original.
+  Search(const Search&) = delete;
+  Search& operator=(const Search&) = delete;
 
   BBResult run() {
     BBResult result;
@@ -64,6 +100,8 @@ class Search {
     }
     result.nodes_visited = nodes_;
     result.node_budget_hit = budget_hit_;
+    result.leaves = leaves_;
+    result.leaves_validated = leaves_validated_;
     return result;
   }
 
@@ -72,24 +110,27 @@ class Search {
     return static_cast<long long>(std::floor(z / period_ + 1e-9));
   }
 
-  /// Free gaps on a resource circle, as (start, length) with start ∈ [0,T).
-  /// `state` is sorted by position; at most the last interval wraps past T,
-  /// and disjointness guarantees the first interval starts after its tail.
-  std::vector<CircleInterval> free_gaps(const ResourceState& state) const {
-    if (state.empty()) return {CircleInterval{0.0, period_}};
-    std::vector<CircleInterval> gaps;
+  /// Free gaps on a resource circle, as (start, length) with start ∈ [0,T),
+  /// written into `gaps_`. `state` is sorted by position; at most the last
+  /// interval wraps past T, and disjointness guarantees the first interval
+  /// starts after its tail.
+  void free_gaps(const ResourceState& state) {
+    gaps_.clear();
+    if (state.empty()) {
+      gaps_.push_back(CircleInterval{0.0, period_});
+      return;
+    }
     Seconds cursor = state.front().position + state.front().duration;
     for (std::size_t i = 1; i < state.size(); ++i) {
       const Seconds gap = state[i].position - cursor;
-      if (gap > eps_) gaps.push_back(CircleInterval{cursor, gap});
+      if (gap > eps_) gaps_.push_back(CircleInterval{cursor, gap});
       cursor = std::max(cursor, state[i].position + state[i].duration);
     }
     // Wrap-around gap: from the last end back to the first start (+T).
     const Seconds wrap_gap = state.front().position + period_ - cursor;
     if (wrap_gap > eps_) {
-      gaps.push_back(CircleInterval{std::fmod(cursor, period_), wrap_gap});
+      gaps_.push_back(CircleInterval{std::fmod(cursor, period_), wrap_gap});
     }
-    return gaps;
   }
 
   /// Earliest z ≥ ready whose circle position lies in [w0, w0+width]
@@ -107,12 +148,18 @@ class Search {
     return base + w0;
   }
 
-  std::vector<Seconds> candidates(const CyclicOp& op, Seconds ready) const {
-    if (op.duration <= eps_) return {ready};
-    const ResourceState& state =
-        occupied_[resource_index_.at(op.resource)];
-    std::vector<Seconds> zs;
-    for (const CircleInterval& gap : free_gaps(state)) {
+  /// Candidate virtual times of op `index`, sorted and deduplicated, in
+  /// that depth's reused buffer.
+  const std::vector<Seconds>& candidates(std::size_t index, Seconds ready) {
+    const CyclicOp& op = problem_.ops[index];
+    std::vector<Seconds>& zs = candidates_[index];
+    zs.clear();
+    if (op.duration <= eps_) {
+      zs.push_back(ready);
+      return zs;
+    }
+    free_gaps(occupied_[op_resource_[index]]);
+    for (const CircleInterval& gap : gaps_) {
       if (gap.duration + eps_ < op.duration) continue;
       const Seconds slack = gap.duration - op.duration;
       // Earliest fit in the gap (memory-cheapest), plus the left- and
@@ -138,24 +185,26 @@ class Search {
     return zs;
   }
 
-  void place(const CyclicOp& op, Seconds z) {
-    if (op.duration <= eps_) return;
-    ResourceState& state = occupied_[resource_index_.at(op.resource)];
+  void place(std::size_t index, Seconds z) {
+    const Seconds duration = problem_.ops[index].duration;
+    if (duration <= eps_) return;
+    ResourceState& state = occupied_[op_resource_[index]];
     const Seconds phi = std::fmod(z, period_);
     const auto it = std::lower_bound(
         state.begin(), state.end(), phi,
         [](const CircleInterval& iv, Seconds p) { return iv.position < p; });
-    state.insert(it, CircleInterval{phi, op.duration});
+    state.insert(it, CircleInterval{phi, duration});
   }
 
-  void unplace(const CyclicOp& op, Seconds z) {
-    if (op.duration <= eps_) return;
-    ResourceState& state = occupied_[resource_index_.at(op.resource)];
+  void unplace(std::size_t index, Seconds z) {
+    const Seconds duration = problem_.ops[index].duration;
+    if (duration <= eps_) return;
+    ResourceState& state = occupied_[op_resource_[index]];
     const Seconds phi = std::fmod(z, period_);
     const auto it = std::find_if(
         state.begin(), state.end(), [&](const CircleInterval& iv) {
           return std::abs(iv.position - phi) <= eps_ &&
-                 std::abs(iv.duration - op.duration) <= eps_;
+                 std::abs(iv.duration - duration) <= eps_;
         });
     MP_ENSURE(it != state.end(), "unplace of an interval that is not placed");
     state.erase(it);
@@ -172,9 +221,9 @@ class Search {
     ++nodes_;
 
     const CyclicOp& op = problem_.ops[index];
-    for (const Seconds z : candidates(op, ready)) {
+    for (const Seconds z : candidates(index, ready)) {
       z_[index] = z;
-      place(op, z);
+      place(index, z);
 
       // Memory floor pruning once a stage's backward lands: in steady state
       // a stage whose shifts differ by δ = h_B − h_F keeps at least δ − 1
@@ -204,7 +253,7 @@ class Search {
         return true;
       }
       if (touched_proc >= 0) resident_floor_[touched_proc] -= floor_delta;
-      unplace(op, z);
+      unplace(index, z);
       if (budget_hit_) return false;
     }
     return false;
@@ -219,11 +268,11 @@ class Search {
   /// profile fits. When memory is tight it usually fails and the DFS takes
   /// over with its shift-minimizing placements.
   bool try_compact_construction(BBResult& result) {
-    std::map<ResourceId, Seconds> cursor;
+    std::vector<Seconds> cursor(occupied_.size(), 0.0);
     Seconds ready = 0.0;
     for (std::size_t i = 0; i < problem_.ops.size(); ++i) {
       const CyclicOp& op = problem_.ops[i];
-      Seconds& phi = cursor[op.resource];
+      Seconds& phi = cursor[op_resource_[i]];
       if (phi + op.duration > period_ * (1.0 + 1e-9)) return false;
       // Smallest z ≥ ready with z mod T == phi.
       const Seconds base = std::floor(ready / period_) * period_;
@@ -236,20 +285,48 @@ class Search {
     return try_leaf(result);
   }
 
-  bool try_leaf(BBResult& result) {
-    PeriodicPattern pattern;
-    pattern.period = period_;
-    for (std::size_t i = 0; i < problem_.ops.size(); ++i) {
-      const CyclicOp& op = problem_.ops[i];
-      pattern.ops.push_back(PeriodicPattern::make_op(
-          op.kind, op.stage, op.resource, z_[i], op.duration, period_));
+  /// Write op `i` of the leaf pattern from its virtual time.
+  void set_leaf_op(std::size_t i) {
+    const CyclicOp& op = problem_.ops[i];
+    leaf_.ops[i] = PeriodicPattern::make_op(op.kind, op.stage, op.resource,
+                                            z_[i], op.duration, period_);
+  }
+
+  /// The memory half of validate_pattern on the leaf's F/B ops: the same
+  /// sweep_inflight call, static memory and `>` test against the same cap.
+  /// False exactly when validate_pattern would report a memory failure.
+  bool leaf_memory_fits() {
+    for (std::size_t p = 0; p < proc_stages_.size(); ++p) {
+      const std::vector<int>& stages = proc_stages_[p];
+      completion_instants(leaf_fwd_, leaf_bwd_, stages, period_, instants_);
+      const InflightPeak sweep = sweep_inflight(
+          leaf_fwd_, leaf_bwd_, stages, stage_bytes_, instants_, period_,
+          kTolerance, {max_inflight_.data(), stages.size()});
+      if (!sweep.ok() ||
+          static_memory_[p] + sweep.peak_activation_bytes > memory_cap_) {
+        return false;
+      }
     }
-    const ValidationResult check =
-        validate_pattern(pattern, allocation_, chain_, platform_);
-    if (!check.valid) return false;
-    result.pattern = std::move(pattern);
     return true;
   }
+
+  /// A complete placement: reject it on memory alone when the sweep says
+  /// so, otherwise let validate_pattern decide.
+  bool try_leaf(BBResult& result) {
+    ++leaves_;
+    for (const std::size_t i : compute_ops_) set_leaf_op(i);
+    if (!leaf_memory_fits()) return false;
+    ++leaves_validated_;
+    for (const std::size_t i : comm_ops_) set_leaf_op(i);
+    if (!validate_pattern(leaf_, allocation_, chain_, platform_).valid) {
+      return false;
+    }
+    result.pattern = leaf_;
+    return true;
+  }
+
+  /// validate_pattern's default tolerance, which try_leaf validates with.
+  static constexpr double kTolerance = ValidationOptions{}.tolerance;
 
   const CyclicProblem& problem_;
   const Allocation& allocation_;
@@ -259,15 +336,31 @@ class Search {
   BBOptions options_;
   double eps_;
 
-  std::map<ResourceId, int> resource_index_;
+  std::vector<int> op_resource_;  ///< dense resource id per op
   std::vector<ResourceState> occupied_;
   std::vector<Seconds> z_;
+  std::vector<CircleInterval> gaps_;  ///< free_gaps output, reused
+  std::vector<std::vector<Seconds>> candidates_;  ///< per depth
   std::vector<long long> forward_shift_;
   std::vector<Bytes> stage_bytes_;
   std::vector<Bytes> static_memory_;
   std::vector<Bytes> resident_floor_;
 
+  // Leaf check.
+  const Bytes memory_cap_ =
+      platform_.memory_per_processor * (1.0 + kTolerance);
+  std::vector<std::vector<int>> proc_stages_;
+  std::vector<std::size_t> compute_ops_;  ///< F/B op indices
+  std::vector<std::size_t> comm_ops_;
+  PeriodicPattern leaf_;
+  std::vector<const PatternOp*> leaf_fwd_;  ///< by stage, into leaf_.ops
+  std::vector<const PatternOp*> leaf_bwd_;
+  std::vector<Seconds> instants_;
+  std::vector<int> max_inflight_;
+
   std::size_t nodes_ = 0;
+  std::size_t leaves_ = 0;
+  std::size_t leaves_validated_ = 0;
   bool budget_hit_ = false;
 };
 
@@ -283,6 +376,8 @@ BBResult bb_schedule(const CyclicProblem& problem, const Allocation& allocation,
   Search search(problem, allocation, chain, platform, period, options);
   BBResult result = search.run();
   span.arg("nodes", static_cast<long long>(result.nodes_visited));
+  span.arg("leaves", static_cast<long long>(result.leaves));
+  span.arg("budget_hit", result.node_budget_hit ? 1 : 0);
   span.arg("feasible", result.feasible ? 1 : 0);
   return result;
 }

@@ -11,10 +11,18 @@
 //     memory) without changing packability;
 //   * trying candidates in increasing z explores memory-cheapest placements
 //     first.
-// Leaves are verified exactly with validate_pattern (the event-sweep memory
-// check), and partial placements are pruned with a safe lower bound on the
+// Partial placements are pruned with a safe lower bound on the
 // always-resident activation floor (a stage in "group" g keeps at least
-// g − 1 activations at all times, §4.2.1).
+// g − 1 activations at all times, §4.2.1). A leaf (a complete placement) is
+// checked in two steps. First the memory sweep: the leaf's F/B ops go
+// through sweep_inflight, the function validate_pattern checks memory with,
+// against the same static memory and the same M·(1 + tolerance) cap, and
+// the leaf is dropped when any processor is over the cap or has a negative
+// in-flight count. validate_pattern would reject exactly those leaves, for
+// the same reason, so this rejects nothing it would accept. Then every leaf
+// that passes goes to the full validate_pattern, which alone accepts it:
+// each returned pattern is fully verified, and the search tree and its
+// answer are those of a search that validated every leaf.
 #pragma once
 
 #include "core/plan.hpp"
@@ -35,6 +43,10 @@ struct BBResult {
   PeriodicPattern pattern;  ///< valid pattern when feasible
   std::size_t nodes_visited = 0;
   bool node_budget_hit = false;
+  /// Complete placements reached (the compact construction's included),
+  /// and those that passed the memory sweep and went to validate_pattern.
+  std::size_t leaves = 0;
+  std::size_t leaves_validated = 0;
 };
 
 /// Try to build a valid pattern at exactly `period`.

@@ -179,7 +179,10 @@ PeriodSearchResult find_min_period(const Allocation& allocation,
   const auto probe = [&](const ProbeRunner::Node& node) -> bool {
     ++result.probes;
     const BBResult& bb = runner.demand(node, &result.speculative_hits);
+    result.bb_nodes += static_cast<long long>(bb.nodes_visited);
+    result.bb_leaves += static_cast<long long>(bb.leaves);
     if (bb.node_budget_hit) {
+      ++result.budget_hit_probes;
       log::debug("cyclic probe at T=", node.period, " hit the node budget");
     }
     if (bb.feasible) {

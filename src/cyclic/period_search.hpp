@@ -36,6 +36,11 @@ struct PeriodSearchResult {
   /// served by an earlier speculative batch.
   int speculative_probes = 0;
   int speculative_hits = 0;
+  /// Branch-and-bound work summed over the consumed probes: DFS nodes,
+  /// leaves reached, and probes that ran out of node budget.
+  long long bb_nodes = 0;
+  long long bb_leaves = 0;
+  int budget_hit_probes = 0;
   double wall_seconds = 0.0;
 };
 

@@ -23,8 +23,13 @@ void PlannerStats::absorb(const PlannerStats& other) noexcept {
   state_budget_hits += other.state_budget_hits;
   phase1_probes += other.phase1_probes;
   phase2_probes += other.phase2_probes;
-  speculative_probes += other.speculative_probes;
-  speculative_hits += other.speculative_hits;
+  phase1_speculative_probes += other.phase1_speculative_probes;
+  phase1_speculative_hits += other.phase1_speculative_hits;
+  phase2_speculative_probes += other.phase2_speculative_probes;
+  phase2_speculative_hits += other.phase2_speculative_hits;
+  phase2_bb_nodes += other.phase2_bb_nodes;
+  phase2_bb_leaves += other.phase2_bb_leaves;
+  phase2_budget_hits += other.phase2_budget_hits;
   phase1_wall_seconds += other.phase1_wall_seconds;
   phase2_wall_seconds += other.phase2_wall_seconds;
 }
@@ -59,10 +64,20 @@ void PlannerStats::write_json(json::Writer& writer) const {
   writer.value(phase1_probes);
   writer.key("phase2_probes");
   writer.value(phase2_probes);
-  writer.key("speculative_probes");
-  writer.value(speculative_probes);
-  writer.key("speculative_hits");
-  writer.value(speculative_hits);
+  writer.key("phase1_speculative_probes");
+  writer.value(phase1_speculative_probes);
+  writer.key("phase1_speculative_hits");
+  writer.value(phase1_speculative_hits);
+  writer.key("phase2_speculative_probes");
+  writer.value(phase2_speculative_probes);
+  writer.key("phase2_speculative_hits");
+  writer.value(phase2_speculative_hits);
+  writer.key("phase2_bb_nodes");
+  writer.value(phase2_bb_nodes);
+  writer.key("phase2_bb_leaves");
+  writer.value(phase2_bb_leaves);
+  writer.key("phase2_budget_hits");
+  writer.value(phase2_budget_hits);
   writer.key("phase1_wall_seconds");
   writer.value(phase1_wall_seconds);
   writer.key("phase2_wall_seconds");
@@ -88,8 +103,13 @@ void PlannerStats::publish() const {
     obs::Counter& state_budget_hits;
     obs::Counter& phase1_probes;
     obs::Counter& phase2_probes;
-    obs::Counter& speculative_probes;
-    obs::Counter& speculative_hits;
+    obs::Counter& phase1_speculative_probes;
+    obs::Counter& phase1_speculative_hits;
+    obs::Counter& phase2_speculative_probes;
+    obs::Counter& phase2_speculative_hits;
+    obs::Counter& phase2_bb_nodes;
+    obs::Counter& phase2_bb_leaves;
+    obs::Counter& phase2_budget_hits;
     obs::Histogram& phase1_wall;
     obs::Histogram& phase2_wall;
   };
@@ -124,10 +144,20 @@ void PlannerStats::publish() const {
                   "DP probes consumed by Algorithm 1"),
         r.counter("madpipe_planner_phase2_probes_total",
                   "bb_schedule probes consumed by the cyclic period search"),
-        r.counter("madpipe_planner_speculative_probes_total",
-                  "Extra probes launched ahead of need"),
-        r.counter("madpipe_planner_speculative_hits_total",
-                  "Demanded probes served from a speculative batch"),
+        r.counter("madpipe_planner_phase1_speculative_probes_total",
+                  "Extra DP probes launched ahead of need by phase 1"),
+        r.counter("madpipe_planner_phase1_speculative_hits_total",
+                  "Phase-1 demanded probes served from a speculative batch"),
+        r.counter("madpipe_planner_phase2_speculative_probes_total",
+                  "Extra B&B probes launched ahead of need by phase 2"),
+        r.counter("madpipe_planner_phase2_speculative_hits_total",
+                  "Phase-2 demanded probes served from a speculative batch"),
+        r.counter("madpipe_planner_phase2_bb_nodes_total",
+                  "B&B nodes expanded by consumed phase-2 probes"),
+        r.counter("madpipe_planner_phase2_bb_leaves_total",
+                  "B&B leaves reached by consumed phase-2 probes"),
+        r.counter("madpipe_planner_phase2_budget_hits_total",
+                  "Consumed phase-2 probes that ran out of node budget"),
         r.histogram("madpipe_planner_phase1_seconds",
                     obs::latency_bounds_seconds(),
                     "Phase-1 (Algorithm 1) wall time per plan"),
@@ -150,8 +180,13 @@ void PlannerStats::publish() const {
   metrics.state_budget_hits.add(state_budget_hits);
   metrics.phase1_probes.add(phase1_probes);
   metrics.phase2_probes.add(phase2_probes);
-  metrics.speculative_probes.add(speculative_probes);
-  metrics.speculative_hits.add(speculative_hits);
+  metrics.phase1_speculative_probes.add(phase1_speculative_probes);
+  metrics.phase1_speculative_hits.add(phase1_speculative_hits);
+  metrics.phase2_speculative_probes.add(phase2_speculative_probes);
+  metrics.phase2_speculative_hits.add(phase2_speculative_hits);
+  metrics.phase2_bb_nodes.add(phase2_bb_nodes);
+  metrics.phase2_bb_leaves.add(phase2_bb_leaves);
+  metrics.phase2_budget_hits.add(phase2_budget_hits);
   metrics.phase1_wall.observe(phase1_wall_seconds);
   metrics.phase2_wall.observe(phase2_wall_seconds);
 }

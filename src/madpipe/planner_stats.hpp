@@ -40,9 +40,20 @@ struct PlannerStats {
   long long phase1_probes = 0;  ///< DP probes consumed by Algorithm 1
   long long phase2_probes = 0;  ///< bb_schedule probes consumed by the
                                 ///< cyclic period search
-  long long speculative_probes = 0;  ///< extra probes launched ahead of need
-  long long speculative_hits = 0;    ///< demanded probes served from a
-                                     ///< speculative batch
+  /// Per phase: extra probes launched ahead of need, and demanded probes
+  /// served from a speculative batch. Phase 1's pair satisfies
+  /// phase1_probes = dp_probes − phase1_speculative_probes +
+  /// phase1_speculative_hits.
+  long long phase1_speculative_probes = 0;
+  long long phase1_speculative_hits = 0;
+  long long phase2_speculative_probes = 0;
+  long long phase2_speculative_hits = 0;
+
+  // --- cyclic branch-and-bound, over the consumed phase-2 probes ---
+  long long phase2_bb_nodes = 0;     ///< DFS nodes expanded
+  long long phase2_bb_leaves = 0;    ///< complete placements reached
+  long long phase2_budget_hits = 0;  ///< probes that ran out of node budget
+
   double phase1_wall_seconds = 0.0;
   double phase2_wall_seconds = 0.0;
 

@@ -68,7 +68,7 @@ class ProbeRunner {
                                 int consumed) {
     const std::uint64_t key = target_key(target);
     if (const auto it = cache_.find(key); it != cache_.end()) {
-      ++stats_.speculative_hits;
+      ++stats_.phase1_speculative_hits;
       return it->second;
     }
     launch_batch(target, lb, ub, budget_ - consumed);
@@ -129,7 +129,8 @@ class ProbeRunner {
       stats_.absorb(results[i].stats);
       cache_.emplace(target_key(batch[i].target), std::move(results[i]));
     }
-    stats_.speculative_probes += static_cast<long long>(batch.size()) - 1;
+    stats_.phase1_speculative_probes +=
+        static_cast<long long>(batch.size()) - 1;
   }
 
   void maybe_push(std::vector<Pending>& batch, Seconds lb, Seconds ub,

@@ -221,9 +221,30 @@ TEST(PlannerFastPath, StatsAggregateIntoPlan) {
   EXPECT_GT(plan->stats.dp_states, 0);
   EXPECT_EQ(plan->stats.phase1_probes,
             static_cast<long long>(plan->stats.dp_probes) -
-                plan->stats.speculative_probes +
-                plan->stats.speculative_hits);
+                plan->stats.phase1_speculative_probes +
+                plan->stats.phase1_speculative_hits);
   EXPECT_GT(plan->stats.phase1_wall_seconds, 0.0);
+}
+
+TEST(PlannerFastPath, Phase2CountersAggregateIntoPlan) {
+  // A tight cell whose phase-1 allocation is non-contiguous, so phase 2 runs
+  // the cyclic period search.
+  const Chain chain = models::paper_network("resnet50");
+  const Platform platform{4, 5 * GB, 12 * GB};
+  MadPipeOptions options;
+  options.phase1.dp.grid = Discretization::coarse();
+  const auto plan = plan_madpipe(chain, platform, options);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_FALSE(plan->allocation.contiguous());
+  const PlannerStats& stats = plan->stats;
+  EXPECT_GT(stats.phase2_probes, 0);
+  EXPECT_LE(stats.phase2_budget_hits, stats.phase2_probes);
+  EXPECT_GT(stats.phase2_bb_nodes, 0);
+  EXPECT_GE(stats.phase2_bb_leaves, 1);
+  EXPECT_LE(stats.phase2_speculative_hits, stats.phase2_probes);
+  EXPECT_EQ(stats.phase1_probes, stats.dp_probes -
+                                     stats.phase1_speculative_probes +
+                                     stats.phase1_speculative_hits);
 }
 
 }  // namespace

@@ -13,8 +13,11 @@
 namespace madpipe {
 namespace {
 
+// gtest names each case after a byte dump of its parameter, so the struct
+// holds no pointer and no padding: the names are then the same in every
+// build. A std::string member would put a heap address in the name.
 struct Scenario {
-  std::string network;
+  char network[36];
   int processors;
   double memory_gb;
   double bandwidth_gbs;
@@ -22,8 +25,8 @@ struct Scenario {
 
 std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
   const Scenario& s = info.param;
-  return s.network + "_P" + std::to_string(s.processors) + "_M" +
-         std::to_string(static_cast<int>(s.memory_gb)) + "_B" +
+  return std::string(s.network) + "_P" + std::to_string(s.processors) +
+         "_M" + std::to_string(static_cast<int>(s.memory_gb)) + "_B" +
          std::to_string(static_cast<int>(s.bandwidth_gbs));
 }
 
@@ -110,6 +113,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Scenario{"densenet121", 4, 4.0, 12.0},
                       Scenario{"densenet121", 8, 2.0, 24.0}),
     scenario_name);
+static_assert(sizeof(Scenario) == 36 + sizeof(int) + 2 * sizeof(double),
+              "Scenario must have no padding");
 
 TEST(PaperShape, MoreMemoryNeverSlowsPipeDreamPartitioning) {
   models::NetworkConfig config;

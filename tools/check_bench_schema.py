@@ -88,10 +88,25 @@ STATS_FIELDS = {
     "state_budget_hits": int,
     "phase1_probes": int,
     "phase2_probes": int,
-    "speculative_probes": int,
-    "speculative_hits": int,
     "phase1_wall_seconds": (int, float),
     "phase2_wall_seconds": (int, float),
+}
+
+# Per-phase speculation counters and phase 2's branch-and-bound work.
+# Documents written before the per-phase split carry one combined
+# speculative pair instead; every stats block holds one set or the other.
+PHASE_STATS_FIELDS = {
+    "phase1_speculative_probes": int,
+    "phase1_speculative_hits": int,
+    "phase2_speculative_probes": int,
+    "phase2_speculative_hits": int,
+    "phase2_bb_nodes": int,
+    "phase2_bb_leaves": int,
+    "phase2_budget_hits": int,
+}
+LEGACY_SPECULATION_FIELDS = {
+    "speculative_probes": int,
+    "speculative_hits": int,
 }
 
 
@@ -331,6 +346,15 @@ def check_planner_document(doc, path):
             if "stats" not in record:
                 fail(f"{where}: instrumented build but no stats block")
             check_fields(record["stats"], STATS_FIELDS, where + " stats")
+            per_phase = ("phase1_speculative_probes" in record["stats"] or
+                         "speculative_probes" not in record["stats"])
+            check_fields(record["stats"],
+                         PHASE_STATS_FIELDS if per_phase
+                         else LEGACY_SPECULATION_FIELDS, where + " stats")
+            if per_phase and (record["stats"]["phase2_budget_hits"] >
+                              record["stats"]["phase2_probes"]):
+                fail(f"{where} stats: phase2_budget_hits exceeds "
+                     "phase2_probes")
             present = {key: expected
                        for key, expected in OPTIONAL_STATS_FIELDS.items()
                        if key in record["stats"]}

@@ -766,9 +766,14 @@ int cmd_planner(const Args& args) {
                   ? 100.0 * static_cast<double>(stats.transition_hits) /
                         static_cast<double>(stats.transition_lookups)
                   : 0.0);
-  std::printf("  phase 2 probes     %lld\n", stats.phase2_probes);
-  std::printf("  speculation        %lld extra probes, %lld hits\n",
-              stats.speculative_probes, stats.speculative_hits);
+  std::printf("  phase 1 spec.      %lld extra probes, %lld hits\n",
+              stats.phase1_speculative_probes, stats.phase1_speculative_hits);
+  std::printf("  phase 2 probes     %lld (%lld hit the node budget)\n",
+              stats.phase2_probes, stats.phase2_budget_hits);
+  std::printf("  phase 2 spec.      %lld extra probes, %lld hits\n",
+              stats.phase2_speculative_probes, stats.phase2_speculative_hits);
+  std::printf("  phase 2 b&b        %lld nodes, %lld leaves\n",
+              stats.phase2_bb_nodes, stats.phase2_bb_leaves);
   std::printf("  state budget hits  %lld\n", stats.state_budget_hits);
   std::printf("  phase 1 wall       %s\n",
               fmt::seconds(stats.phase1_wall_seconds).c_str());
