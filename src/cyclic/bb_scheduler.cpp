@@ -1,6 +1,7 @@
 #include "cyclic/bb_scheduler.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -24,13 +25,14 @@ class Search {
  public:
   Search(const CyclicProblem& problem, const Allocation& allocation,
          const Chain& chain, const Platform& platform, Seconds period,
-         const BBOptions& options)
+         const BBOptions& options, const std::atomic<bool>& cancel)
       : problem_(problem),
         allocation_(allocation),
         chain_(chain),
         platform_(platform),
         period_(period),
         options_(options),
+        cancel_(cancel),
         eps_(1e-9 * period) {
     const std::size_t num_ops = problem.ops.size();
     // Dense resource ids, resolved once per op.
@@ -43,6 +45,8 @@ class Search {
     }
     occupied_.resize(resource_index.size());
     z_.assign(num_ops, 0.0);
+    slot_.assign(num_ops, 0);
+    phi_.assign(num_ops, 0.0);
     candidates_.resize(num_ops);
 
     const Partitioning& parts = allocation.partitioning();
@@ -100,6 +104,7 @@ class Search {
     }
     result.nodes_visited = nodes_;
     result.node_budget_hit = budget_hit_;
+    result.cancelled = cancelled_;
     result.leaves = leaves_;
     result.leaves_validated = leaves_validated_;
     return result;
@@ -134,10 +139,10 @@ class Search {
   }
 
   /// Earliest z ≥ ready whose circle position lies in [w0, w0+width]
-  /// (width ≥ 0; the window may wrap past T).
-  Seconds earliest_in_window(Seconds ready, Seconds w0, Seconds width) const {
-    const Seconds r0 = std::fmod(ready, period_);
-    const Seconds base = ready - r0;
+  /// (width ≥ 0; the window may wrap past T). `r0` = fmod(ready, T) and
+  /// `base` = ready − r0, computed once per op by the caller.
+  Seconds earliest_in_window(Seconds ready, Seconds r0, Seconds base,
+                             Seconds w0, Seconds width) const {
     const Seconds w1 = w0 + width;
     if (w1 < period_ + eps_) {
       if (r0 <= w1 + eps_) return base + std::max(r0, w0);
@@ -159,6 +164,8 @@ class Search {
       return zs;
     }
     free_gaps(occupied_[op_resource_[index]]);
+    const Seconds r0 = std::fmod(ready, period_);
+    const Seconds base = ready - r0;
     for (const CircleInterval& gap : gaps_) {
       if (gap.duration + eps_ < op.duration) continue;
       const Seconds slack = gap.duration - op.duration;
@@ -166,11 +173,11 @@ class Search {
       // right-aligned placements: packing an op against a gap edge keeps
       // the remaining free space contiguous for later ops, which
       // earliest-fit alone can fragment.
-      zs.push_back(earliest_in_window(ready, gap.position, slack));
+      zs.push_back(earliest_in_window(ready, r0, base, gap.position, slack));
       if (slack > eps_) {
-        zs.push_back(earliest_in_window(ready, gap.position, 0.0));
+        zs.push_back(earliest_in_window(ready, r0, base, gap.position, 0.0));
         const Seconds right = std::fmod(gap.position + slack, period_);
-        zs.push_back(earliest_in_window(ready, right, 0.0));
+        zs.push_back(earliest_in_window(ready, r0, base, right, 0.0));
       }
     }
     std::sort(zs.begin(), zs.end());
@@ -185,6 +192,9 @@ class Search {
     return zs;
   }
 
+  /// Insert op `index`'s circle interval, remembering its slot: the DFS
+  /// places and unplaces in LIFO order, so the slot is still valid when
+  /// unplace() runs.
   void place(std::size_t index, Seconds z) {
     const Seconds duration = problem_.ops[index].duration;
     if (duration <= eps_) return;
@@ -193,21 +203,20 @@ class Search {
     const auto it = std::lower_bound(
         state.begin(), state.end(), phi,
         [](const CircleInterval& iv, Seconds p) { return iv.position < p; });
+    slot_[index] = static_cast<std::size_t>(it - state.begin());
+    phi_[index] = phi;
     state.insert(it, CircleInterval{phi, duration});
   }
 
-  void unplace(std::size_t index, Seconds z) {
+  void unplace(std::size_t index) {
     const Seconds duration = problem_.ops[index].duration;
     if (duration <= eps_) return;
     ResourceState& state = occupied_[op_resource_[index]];
-    const Seconds phi = std::fmod(z, period_);
-    const auto it = std::find_if(
-        state.begin(), state.end(), [&](const CircleInterval& iv) {
-          return std::abs(iv.position - phi) <= eps_ &&
-                 std::abs(iv.duration - duration) <= eps_;
-        });
-    MP_ENSURE(it != state.end(), "unplace of an interval that is not placed");
-    state.erase(it);
+    const std::size_t slot = slot_[index];
+    MP_ENSURE(slot < state.size() && state[slot].position == phi_[index] &&
+                  state[slot].duration == duration,
+              "unplace of an interval that is not placed");
+    state.erase(state.begin() + static_cast<std::ptrdiff_t>(slot));
   }
 
   bool dfs(std::size_t index, Seconds ready, BBResult& result) {
@@ -215,7 +224,11 @@ class Search {
       return try_leaf(result);
     }
     if (nodes_ >= options_.max_nodes) {
-      budget_hit_ = true;
+      budget_hit_ = stopped_ = true;
+      return false;
+    }
+    if (cancel_.load(std::memory_order_relaxed)) {
+      cancelled_ = stopped_ = true;
       return false;
     }
     ++nodes_;
@@ -253,8 +266,8 @@ class Search {
         return true;
       }
       if (touched_proc >= 0) resident_floor_[touched_proc] -= floor_delta;
-      unplace(index, z);
-      if (budget_hit_) return false;
+      unplace(index);
+      if (stopped_) return false;
     }
     return false;
   }
@@ -334,11 +347,14 @@ class Search {
   const Platform& platform_;
   Seconds period_;
   BBOptions options_;
+  const std::atomic<bool>& cancel_;
   double eps_;
 
   std::vector<int> op_resource_;  ///< dense resource id per op
   std::vector<ResourceState> occupied_;
   std::vector<Seconds> z_;
+  std::vector<std::size_t> slot_;  ///< per op: its slot in its resource
+  std::vector<Seconds> phi_;       ///< per op: its placed circle position
   std::vector<CircleInterval> gaps_;  ///< free_gaps output, reused
   std::vector<std::vector<Seconds>> candidates_;  ///< per depth
   std::vector<long long> forward_shift_;
@@ -362,24 +378,36 @@ class Search {
   std::size_t leaves_ = 0;
   std::size_t leaves_validated_ = 0;
   bool budget_hit_ = false;
+  bool cancelled_ = false;
+  bool stopped_ = false;  ///< budget hit or cancelled: unwind the DFS
 };
 
 }  // namespace
 
 BBResult bb_schedule(const CyclicProblem& problem, const Allocation& allocation,
                      const Chain& chain, const Platform& platform,
-                     Seconds period, const BBOptions& options) {
+                     Seconds period, const BBOptions& options,
+                     const std::atomic<bool>& cancel) {
   MP_EXPECT(period > 0.0, "period must be positive");
   // Categorized "solver": this branch-and-bound is the phase-2 scheduling
   // solver (the paper's ILP stand-in), the sibling of solver::solve_milp.
   obs::Span span("bb_probe", obs::kCatSolver);
-  Search search(problem, allocation, chain, platform, period, options);
+  Search search(problem, allocation, chain, platform, period, options, cancel);
   BBResult result = search.run();
   span.arg("nodes", static_cast<long long>(result.nodes_visited));
   span.arg("leaves", static_cast<long long>(result.leaves));
   span.arg("budget_hit", result.node_budget_hit ? 1 : 0);
   span.arg("feasible", result.feasible ? 1 : 0);
+  if (result.cancelled) span.arg("cancelled", 1);
   return result;
+}
+
+BBResult bb_schedule(const CyclicProblem& problem, const Allocation& allocation,
+                     const Chain& chain, const Platform& platform,
+                     Seconds period, const BBOptions& options) {
+  static const std::atomic<bool> never{false};
+  return bb_schedule(problem, allocation, chain, platform, period, options,
+                     never);
 }
 
 }  // namespace madpipe

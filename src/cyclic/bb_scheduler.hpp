@@ -25,6 +25,8 @@
 // answer are those of a search that validated every leaf.
 #pragma once
 
+#include <atomic>
+
 #include "core/plan.hpp"
 #include "cyclic/stage_graph.hpp"
 
@@ -47,11 +49,27 @@ struct BBResult {
   /// and those that passed the memory sweep and went to validate_pattern.
   std::size_t leaves = 0;
   std::size_t leaves_validated = 0;
+  /// Stopped by the caller's cancel flag: no verdict (`feasible` is false
+  /// but proves nothing), and the counters cover only the work done.
+  bool cancelled = false;
 };
 
 /// Try to build a valid pattern at exactly `period`.
+///
+/// The DFS visits nodes in an order that does not depend on
+/// `options.max_nodes`: a run that ends without hitting its budget (feasible,
+/// or infeasible with the tree exhausted) returns the same result, pattern
+/// and counters under every larger budget.
 BBResult bb_schedule(const CyclicProblem& problem, const Allocation& allocation,
                      const Chain& chain, const Platform& platform,
                      Seconds period, const BBOptions& options = {});
+
+/// The same search, also stopping as soon as it reads `cancel` true (polled
+/// once per DFS node); the result is then `cancelled`. The period search
+/// cancels speculative probes it no longer needs this way.
+BBResult bb_schedule(const CyclicProblem& problem, const Allocation& allocation,
+                     const Chain& chain, const Platform& platform,
+                     Seconds period, const BBOptions& options,
+                     const std::atomic<bool>& cancel);
 
 }  // namespace madpipe

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
-#include <thread>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -23,143 +27,272 @@ std::uint64_t period_key(Seconds period) {
   return bits;
 }
 
-int auto_speculation(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(std::min<unsigned>(4, std::max<unsigned>(hw, 1)));
+/// A node of the bisection's outcome tree: the period to probe plus the loop
+/// state that determines both children. `phase` 0 = the initial ub probe,
+/// 1 = the lb probe, 2 = a midpoint probe of the main loop.
+struct Node {
+  Seconds period;
+  int phase;
+  Seconds lb, ub;
+  int probes;  ///< consumed count *after* this probe
+};
+
+/// The node the search probes next when `node`'s probe returns `feasible`,
+/// or nothing when the search stops there — with the sequential loop's own
+/// guards and floating-point expressions, so every period is bit-identical
+/// to the one a sequential run would probe.
+std::optional<Node> next_node(const Node& node, bool feasible,
+                              const PeriodSearchOptions& options) {
+  Seconds lb = node.lb, ub = node.ub;
+  switch (node.phase) {
+    case 0:
+      // The serial period is schedulable whenever anything is: if it fails,
+      // the allocation's activation floor alone exceeds memory.
+      if (!feasible) return std::nullopt;
+      return Node{lb, 1, lb, ub, node.probes + 1};
+    case 1:
+      if (feasible) return std::nullopt;  // lower bound feasible: optimal
+      break;
+    default:
+      // Invariant: lb infeasible, ub feasible (with its pattern retained).
+      (feasible ? ub : lb) = node.period;
+      break;
+  }
+  if (node.probes >= options.max_probes ||
+      ub - lb <= options.relative_precision * ub) {
+    return std::nullopt;
+  }
+  return Node{0.5 * (lb + ub), 2, lb, ub, node.probes + 1};
 }
+
+/// Whether the search can still reach `node` from `root`. Midpoint
+/// intervals of a bisection are nested or disjoint, so a loop node descends
+/// from a loop root exactly when its interval lies inside the root's.
+bool descends(const Node& node, const Node& root) {
+  switch (root.phase) {
+    case 0:
+      return true;
+    case 1:
+      return node.phase >= 1;
+    default:
+      return node.phase == 2 && node.lb >= root.lb && node.ub <= root.ub;
+  }
+}
+
+/// Odds that a probe whose verdict is not yet known ends infeasible. Triage
+/// settles the cheap probes within moments, so the open ones are nearly all
+/// expensive, and those mostly end infeasible: 108 of 156 on the plan_tight
+/// cells.
+constexpr double kPredictInfeasible = 0.7;
 
 /// Speculative branch-and-bound probe runner.
 ///
 /// The bisection's control flow depends on each probe only through its
-/// boolean feasibility, so the set of periods the search *may* probe next
-/// forms an exact two-way outcome tree: from loop state (lb, ub, probes),
-/// the next period is 0.5·(lb+ub), after which the state is (lb, mid) or
-/// (mid, ub). On a cache miss we expand that tree breadth-first — with the
-/// search's own floating-point expressions and stopping rules, so every
-/// predicted period is bit-identical to a period the search could demand —
-/// and run the batch of probes concurrently. Consumed results (and thus the
-/// final pattern/period/probe count) match a sequential run for every W.
+/// boolean verdict, so the periods it may demand form a two-way outcome
+/// tree (next_node). Up to W lanes share one search state. A lane that is
+/// free takes the most likely period nobody has started: a best-first walk
+/// from the period the search demands now, following the known verdicts
+/// and weighting the two children of every open probe by
+/// kPredictInfeasible. It probes that period with `triage_nodes` nodes
+/// first — exact whenever it ends within them, since the DFS order does not
+/// depend on the budget — and with the full budget only when it did not.
+/// Whenever a verdict arrives, the search consumes every verdict it now
+/// can, in its own order, and cancels the probes it can no longer reach.
+/// Consumed results — pattern, period and counters — are those of a
+/// sequential run for every W.
 class ProbeRunner {
  public:
-  ProbeRunner(const CyclicProblem& problem, const Allocation& allocation,
-              const Chain& chain, const Platform& platform,
-              const PeriodSearchOptions& options)
-      : problem_(problem),
-        allocation_(allocation),
-        chain_(chain),
-        platform_(platform),
+  ProbeRunner(const PeriodProbe& probe, std::size_t triage_nodes,
+              const PeriodSearchOptions& options, const Node& root)
+      : probe_(probe),
+        triage_nodes_(std::min(triage_nodes, options.bb.max_nodes)),
         options_(options),
-        width_(auto_speculation(options.speculation)) {}
+        root_(root) {}
 
-  /// A node of the outcome tree: the period to probe plus enough state to
-  /// predict both children. `phase` 0 = the initial ub probe, 1 = the lb
-  /// probe, 2 = a midpoint probe of the main loop.
-  struct Node {
-    Seconds period;
-    int phase;
-    Seconds lb, ub;
-    int probes;  ///< consumed count *after* this probe
-  };
-
-  const BBResult& demand(const Node& node, int* speculative_hits) {
-    const std::uint64_t key = period_key(node.period);
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      ++*speculative_hits;
-      return it->second;
+  PeriodSearchResult run() {
+    const int width = par::speculation_width(options_.speculation);
+    const std::size_t lanes =
+        options_.workers != 0
+            ? std::min<std::size_t>(options_.workers, width)
+            : static_cast<std::size_t>(width);
+    if (lanes <= 1) {
+      lane();
+    } else {
+      par::ThreadPool::shared().run(
+          lanes,
+          [](void* self, std::size_t) {
+            static_cast<ProbeRunner*>(self)->lane();
+          },
+          this);
     }
-    launch_batch(node);
-    const auto it = cache_.find(key);
-    MP_ENSURE(it != cache_.end(), "demanded probe missing from its batch");
-    return it->second;
+    return std::move(result_);
   }
-
-  int speculative_probes() const noexcept { return speculative_probes_; }
 
  private:
-  void children(const Node& node, std::vector<Node>& out) const {
-    switch (node.phase) {
-      case 0:
-        // Feasible → probe lb next; infeasible → the search returns.
-        out.push_back({node.lb, 1, node.lb, node.ub, node.probes + 1});
-        return;
-      case 1:
-        // Feasible → optimal, return; infeasible → enter the loop.
-        loop_child(node.lb, node.ub, node.probes, out);
-        return;
-      default:
-        // mid feasible → (lb, mid); infeasible → (mid, ub).
-        loop_child(node.lb, node.period, node.probes, out);
-        loop_child(node.period, node.ub, node.probes, out);
-        return;
+  struct Entry {
+    Node node;
+    bool speculative;  ///< launched before the search demanded it
+    bool done = false;
+    bool consumed = false;
+    BBResult result;
+    std::atomic<bool> cancel{false};
+  };
+
+  void lane() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (root_) {
+      Entry* entry = pick();
+      if (entry == nullptr) {
+        wake_.wait(lock);
+        continue;
+      }
+      lock.unlock();
+      BBResult result;
+      try {
+        result = probe(*entry);
+      } catch (...) {
+        lock.lock();
+        stop();
+        throw;
+      }
+      lock.lock();
+      if (result.cancelled) ++result_.cancelled_probes;
+      if (entry->cancel.load(std::memory_order_relaxed)) {
+        entries_.erase(period_key(entry->node.period));
+      } else {
+        entry->result = std::move(result);
+        entry->done = true;
+        advance();
+      }
+      wake_.notify_all();
     }
   }
 
-  /// Append the loop's next probe from state (lb, ub, probes) — exactly the
-  /// sequential loop's guard and midpoint expression.
-  void loop_child(Seconds lb, Seconds ub, int probes,
-                  std::vector<Node>& out) const {
-    if (probes >= options_.max_probes ||
-        ub - lb <= options_.relative_precision * ub) {
-      return;
+  BBResult probe(Entry& entry) const {
+    const Seconds period = entry.node.period;
+    BBResult result = probe_(period, triage_nodes_, entry.cancel);
+    if (result.node_budget_hit && triage_nodes_ < options_.bb.max_nodes) {
+      result = probe_(period, options_.bb.max_nodes, entry.cancel);
     }
-    const Seconds mid = 0.5 * (lb + ub);
-    out.push_back({mid, 2, lb, ub, probes + 1});
+    return result;
   }
 
-  void launch_batch(const Node& root) {
-    std::vector<Node> batch;
-    batch.push_back(root);
-    std::vector<Node> next;
-    for (std::size_t i = 0;
-         i < batch.size() && batch.size() < static_cast<std::size_t>(width_);
-         ++i) {
-      next.clear();
-      children(batch[i], next);
-      for (const Node& child : next) {
-        if (batch.size() >= static_cast<std::size_t>(width_)) break;
-        const std::uint64_t key = period_key(child.period);
-        if (cache_.count(key)) continue;
-        bool queued = false;
-        for (const Node& pending : batch) {
-          if (period_key(pending.period) == key) {
-            queued = true;
-            break;
-          }
+  /// The most likely period no lane has started, registered as started; or
+  /// null when every period the search can reach is started or settled.
+  Entry* pick() {
+    struct Candidate {
+      double odds;
+      int depth;
+      Node node;
+      bool operator<(const Candidate& other) const {
+        return odds != other.odds ? odds < other.odds : depth > other.depth;
+      }
+    };
+    std::priority_queue<Candidate> frontier;
+    frontier.push({1.0, 0, *root_});
+    while (!frontier.empty()) {
+      const Candidate c = frontier.top();
+      frontier.pop();
+      const auto it = entries_.find(period_key(c.node.period));
+      if (it == entries_.end()) {
+        auto entry = std::make_unique<Entry>();
+        entry->node = c.node;
+        entry->speculative = c.depth > 0;
+        if (entry->speculative) ++result_.speculative_probes;
+        Entry* started = entry.get();
+        entries_.emplace(period_key(c.node.period), std::move(entry));
+        return started;
+      }
+      const Entry& entry = *it->second;
+      for (const bool feasible : {false, true}) {
+        if (entry.done && entry.result.feasible != feasible) continue;
+        const double odds =
+            entry.done ? 1.0
+                       : (feasible ? 1.0 - kPredictInfeasible
+                                   : kPredictInfeasible);
+        if (const auto child = next_node(c.node, feasible, options_)) {
+          frontier.push({c.odds * odds, c.depth + 1, *child});
         }
-        if (!queued) batch.push_back(child);
       }
     }
-
-    std::vector<BBResult> results(batch.size());
-    const std::size_t workers =
-        options_.workers != 0
-            ? std::min<std::size_t>(options_.workers, batch.size())
-            : batch.size();
-    par::parallel_for(
-        0, batch.size(),
-        [&](std::size_t i) {
-          results[i] = bb_schedule(problem_, allocation_, chain_, platform_,
-                                   batch[i].period, options_.bb);
-        },
-        workers);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      cache_.emplace(period_key(batch[i].period), std::move(results[i]));
-    }
-    speculative_probes_ += static_cast<int>(batch.size()) - 1;
+    return nullptr;
   }
 
-  const CyclicProblem& problem_;
-  const Allocation& allocation_;
-  const Chain& chain_;
-  const Platform& platform_;
+  /// Consume every verdict the search can consume now, in its own order,
+  /// then drop or cancel the entries it can no longer reach.
+  void advance() {
+    while (root_) {
+      const auto it = entries_.find(period_key(root_->period));
+      if (it == entries_.end() || !it->second->done) break;
+      Entry& entry = *it->second;
+      const BBResult& bb = entry.result;
+      ++result_.probes;
+      if (entry.speculative || entry.consumed) ++result_.speculative_hits;
+      entry.consumed = true;
+      result_.bb_nodes += static_cast<long long>(bb.nodes_visited);
+      result_.bb_leaves += static_cast<long long>(bb.leaves);
+      if (bb.node_budget_hit) {
+        ++result_.budget_hit_probes;
+        log::debug("cyclic probe at T=", root_->period,
+                   " hit the node budget");
+      }
+      if (bb.feasible) {
+        result_.feasible = true;
+        result_.pattern = bb.pattern;
+        result_.period = root_->period;
+      }
+      root_ = next_node(*root_, bb.feasible, options_);
+    }
+    if (!root_) {
+      stop();
+      return;
+    }
+    const std::uint64_t root_key = period_key(root_->period);
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      Entry& entry = *it->second;
+      if (it->first == root_key || descends(entry.node, *root_)) {
+        ++it;
+      } else if (entry.done) {
+        it = entries_.erase(it);
+      } else {
+        entry.cancel.store(true, std::memory_order_relaxed);
+        ++it;
+      }
+    }
+  }
+
+  /// End the search: cancel every running probe.
+  void stop() {
+    root_.reset();
+    for (auto& [key, entry] : entries_) {
+      entry->cancel.store(true, std::memory_order_relaxed);
+    }
+    wake_.notify_all();
+  }
+
+  const PeriodProbe& probe_;
+  const std::size_t triage_nodes_;
   const PeriodSearchOptions& options_;
-  const int width_;
-  std::unordered_map<std::uint64_t, BBResult> cache_;
-  int speculative_probes_ = 0;
+
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::optional<Node> root_;  ///< the probe the search demands; empty = done
+  /// Started probes by period bits; a running entry is erased only by the
+  /// lane that runs it.
+  std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> entries_;
+  PeriodSearchResult result_;
 };
 
 }  // namespace
+
+PeriodSearchResult bisect_min_period(Seconds lb, Seconds ub,
+                                     const PeriodProbe& probe,
+                                     std::size_t triage_nodes,
+                                     const PeriodSearchOptions& options) {
+  MP_EXPECT(lb <= ub, "period search needs lb <= ub");
+  ProbeRunner runner(probe, triage_nodes, options, Node{ub, 0, lb, ub, 1});
+  return runner.run();
+}
 
 PeriodSearchResult find_min_period(const Allocation& allocation,
                                    const Chain& chain, const Platform& platform,
@@ -169,61 +302,26 @@ PeriodSearchResult find_min_period(const Allocation& allocation,
   const auto t0 = std::chrono::steady_clock::now();
   const CyclicProblem problem =
       build_cyclic_problem(allocation, chain, platform);
+  const Seconds lb = std::max(problem.min_period, lower_hint);
+  const Seconds ub = std::max(problem.serial_period, lb);
 
-  PeriodSearchResult result;
-  Seconds lb = std::max(problem.min_period, lower_hint);
-  Seconds ub = std::max(problem.serial_period, lb);
-
-  ProbeRunner runner(problem, allocation, chain, platform, options);
-
-  const auto probe = [&](const ProbeRunner::Node& node) -> bool {
-    ++result.probes;
-    const BBResult& bb = runner.demand(node, &result.speculative_hits);
-    result.bb_nodes += static_cast<long long>(bb.nodes_visited);
-    result.bb_leaves += static_cast<long long>(bb.leaves);
-    if (bb.node_budget_hit) {
-      ++result.budget_hit_probes;
-      log::debug("cyclic probe at T=", node.period, " hit the node budget");
-    }
-    if (bb.feasible) {
-      result.feasible = true;
-      result.pattern = bb.pattern;
-      result.period = node.period;
-    }
-    return bb.feasible;
+  const PeriodProbe probe = [&](Seconds period, std::size_t max_nodes,
+                                const std::atomic<bool>& cancel) {
+    BBOptions bb = options.bb;
+    bb.max_nodes = max_nodes;
+    return bb_schedule(problem, allocation, chain, platform, period, bb,
+                       cancel);
   };
-  const auto finish = [&] {
-    span.arg("probes", result.probes);
-    span.arg("feasible", result.feasible ? 1 : 0);
-    result.speculative_probes = runner.speculative_probes();
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  };
+  // A feasible probe usually succeeds within its first DFS descent (one node
+  // per op); twice that settles most cheap probes without the full budget.
+  PeriodSearchResult result =
+      bisect_min_period(lb, ub, probe, 2 * problem.ops.size(), options);
 
-  // The serial period is schedulable whenever anything is: if it fails, the
-  // allocation's activation floor alone exceeds memory.
-  if (!probe({ub, 0, lb, ub, 1})) {
-    finish();
-    return result;
-  }
-
-  if (probe({lb, 1, lb, ub, 2})) {  // lower bound already feasible: optimal
-    finish();
-    return result;
-  }
-
-  // Invariant: lb infeasible, ub feasible (with its pattern retained).
-  while (result.probes < options.max_probes &&
-         ub - lb > options.relative_precision * ub) {
-    const Seconds mid = 0.5 * (lb + ub);
-    if (probe({mid, 2, lb, ub, result.probes + 1})) {
-      ub = mid;
-    } else {
-      lb = mid;
-    }
-  }
-  finish();
+  span.arg("probes", result.probes);
+  span.arg("feasible", result.feasible ? 1 : 0);
+  result.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   return result;
 }
 

@@ -31,6 +31,7 @@ std::optional<Plan> schedule_allocation(const Allocation& allocation,
   stats.phase2_probes = phase2.probes;
   stats.phase2_speculative_probes = phase2.speculative_probes;
   stats.phase2_speculative_hits = phase2.speculative_hits;
+  stats.phase2_cancelled_probes = phase2.cancelled_probes;
   stats.phase2_bb_nodes = phase2.bb_nodes;
   stats.phase2_bb_leaves = phase2.bb_leaves;
   stats.phase2_budget_hits = phase2.budget_hit_probes;

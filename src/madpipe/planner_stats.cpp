@@ -27,6 +27,7 @@ void PlannerStats::absorb(const PlannerStats& other) noexcept {
   phase1_speculative_hits += other.phase1_speculative_hits;
   phase2_speculative_probes += other.phase2_speculative_probes;
   phase2_speculative_hits += other.phase2_speculative_hits;
+  phase2_cancelled_probes += other.phase2_cancelled_probes;
   phase2_bb_nodes += other.phase2_bb_nodes;
   phase2_bb_leaves += other.phase2_bb_leaves;
   phase2_budget_hits += other.phase2_budget_hits;
@@ -72,6 +73,8 @@ void PlannerStats::write_json(json::Writer& writer) const {
   writer.value(phase2_speculative_probes);
   writer.key("phase2_speculative_hits");
   writer.value(phase2_speculative_hits);
+  writer.key("phase2_cancelled_probes");
+  writer.value(phase2_cancelled_probes);
   writer.key("phase2_bb_nodes");
   writer.value(phase2_bb_nodes);
   writer.key("phase2_bb_leaves");
@@ -107,6 +110,7 @@ void PlannerStats::publish() const {
     obs::Counter& phase1_speculative_hits;
     obs::Counter& phase2_speculative_probes;
     obs::Counter& phase2_speculative_hits;
+    obs::Counter& phase2_cancelled_probes;
     obs::Counter& phase2_bb_nodes;
     obs::Counter& phase2_bb_leaves;
     obs::Counter& phase2_budget_hits;
@@ -151,7 +155,9 @@ void PlannerStats::publish() const {
         r.counter("madpipe_planner_phase2_speculative_probes_total",
                   "Extra B&B probes launched ahead of need by phase 2"),
         r.counter("madpipe_planner_phase2_speculative_hits_total",
-                  "Phase-2 demanded probes served from a speculative batch"),
+                  "Phase-2 demanded probes served from a speculative launch"),
+        r.counter("madpipe_planner_phase2_cancelled_probes_total",
+                  "Phase-2 speculative probes cancelled as no longer needed"),
         r.counter("madpipe_planner_phase2_bb_nodes_total",
                   "B&B nodes expanded by consumed phase-2 probes"),
         r.counter("madpipe_planner_phase2_bb_leaves_total",
@@ -184,6 +190,7 @@ void PlannerStats::publish() const {
   metrics.phase1_speculative_hits.add(phase1_speculative_hits);
   metrics.phase2_speculative_probes.add(phase2_speculative_probes);
   metrics.phase2_speculative_hits.add(phase2_speculative_hits);
+  metrics.phase2_cancelled_probes.add(phase2_cancelled_probes);
   metrics.phase2_bb_nodes.add(phase2_bb_nodes);
   metrics.phase2_bb_leaves.add(phase2_bb_leaves);
   metrics.phase2_budget_hits.add(phase2_budget_hits);

@@ -41,13 +41,16 @@ struct PlannerStats {
   long long phase2_probes = 0;  ///< bb_schedule probes consumed by the
                                 ///< cyclic period search
   /// Per phase: extra probes launched ahead of need, and demanded probes
-  /// served from a speculative batch. Phase 1's pair satisfies
+  /// served from such a launch. Phase 1's pair satisfies
   /// phase1_probes = dp_probes − phase1_speculative_probes +
   /// phase1_speculative_hits.
   long long phase1_speculative_probes = 0;
   long long phase1_speculative_hits = 0;
   long long phase2_speculative_probes = 0;
   long long phase2_speculative_hits = 0;
+  /// Phase-2 speculative probes cancelled once the search could no longer
+  /// demand them (counted in phase2_speculative_probes, never consumed).
+  long long phase2_cancelled_probes = 0;
 
   // --- cyclic branch-and-bound, over the consumed phase-2 probes ---
   long long phase2_bb_nodes = 0;     ///< DFS nodes expanded

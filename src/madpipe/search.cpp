@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -25,12 +24,6 @@ std::uint64_t target_key(Seconds target) {
   static_assert(sizeof(bits) == sizeof(target));
   std::memcpy(&bits, &target, sizeof(bits));
   return bits;
-}
-
-int auto_speculation(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(std::min<unsigned>(4, std::max<unsigned>(hw, 1)));
 }
 
 /// Speculative DP-probe runner for Algorithm 1.
@@ -58,7 +51,7 @@ class ProbeRunner {
       : chain_(chain),
         platform_(platform),
         options_(options),
-        width_(auto_speculation(options.speculation)),
+        width_(par::speculation_width(options.speculation)),
         budget_(iterations_left_at_start) {}
 
   /// Result for `target`, launching a speculative batch on a cache miss.

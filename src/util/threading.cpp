@@ -7,6 +7,11 @@ std::size_t default_workers() noexcept {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+int speculation_width(int requested) noexcept {
+  if (requested > 0) return requested;
+  return static_cast<int>(std::min<std::size_t>(4, default_workers()));
+}
+
 // One parallel region. Lives on the submitter's stack: the submitter does not
 // return from run() until `complete`, and no worker touches the job after the
 // final block retires (see invariants in run()/worker_loop()).

@@ -33,6 +33,11 @@ namespace madpipe::par {
 /// at least 1).
 std::size_t default_workers() noexcept;
 
+/// Width W of a speculative bisection (phase 1's DP probes, phase 2's
+/// branch-and-bound probes): `requested` when positive, else auto =
+/// min(4, hardware threads).
+int speculation_width(int requested) noexcept;
+
 /// Persistent pool of parked worker threads executing block jobs.
 ///
 /// A job is `fn(ctx, block)` for block in [0, total): blocks are claimed

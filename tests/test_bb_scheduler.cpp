@@ -6,9 +6,14 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <atomic>
+#include <chrono>
+#include <mutex>
 #include <random>
+#include <thread>
 
 #include "cyclic/period_search.hpp"
+#include "madpipe/search.hpp"
 #include "models/zoo.hpp"
 #include "schedule/one_f_one_b.hpp"
 
@@ -275,6 +280,91 @@ TEST(BBSchedulerGolden, SearchTreeAndPatternsArePinned) {
   }
 }
 
+TEST(BBScheduler, SmallBudgetFeasibleMatchesFullBudget) {
+  // The DFS order does not depend on the node budget, so a run that ends
+  // within a small budget is the full-budget run: same leaf, same counters.
+  // The period search's triage relies on this.
+  int feasible_small = 0, budget_hit_small = 0;
+  for (const GoldenCell& cell : golden_cells()) {
+    models::NetworkConfig config;
+    config.network = cell.network;
+    config.chain_length = cell.length;
+    const Chain chain = models::build_network(config);
+    const Platform platform{cell.gpus, cell.memory_gb * GB, 12 * GB};
+    const Allocation allocation(Partitioning(chain, cell.stages),
+                                cell.processor_of_stage, cell.gpus);
+    const CyclicProblem problem =
+        build_cyclic_problem(allocation, chain, platform);
+    const std::size_t ops = problem.ops.size();
+    for (const GoldenProbe& golden : cell.probes) {
+      const Seconds period =
+          problem.min_period +
+          golden.fraction * (problem.serial_period - problem.min_period);
+      const BBResult full =
+          bb_schedule(problem, allocation, chain, platform, period);
+      for (const std::size_t budget : {ops, 2 * ops, 4 * ops, std::size_t{3000}}) {
+        BBOptions small;
+        small.max_nodes = budget;
+        const BBResult result =
+            bb_schedule(problem, allocation, chain, platform, period, small);
+        const std::string where = std::string(cell.network) + " P" +
+                                  std::to_string(cell.gpus) + " at fraction " +
+                                  std::to_string(golden.fraction) +
+                                  ", budget " + std::to_string(budget);
+        if (result.node_budget_hit) {
+          EXPECT_FALSE(result.feasible) << where;
+          ++budget_hit_small;
+          continue;
+        }
+        feasible_small += result.feasible ? 1 : 0;
+        EXPECT_EQ(result.feasible, full.feasible) << where;
+        EXPECT_EQ(result.nodes_visited, full.nodes_visited) << where;
+        EXPECT_EQ(result.node_budget_hit, full.node_budget_hit) << where;
+        EXPECT_EQ(result.leaves, full.leaves) << where;
+        EXPECT_EQ(result.leaves_validated, full.leaves_validated) << where;
+        EXPECT_EQ(result.pattern.ops.size(), full.pattern.ops.size()) << where;
+        EXPECT_EQ(pattern_fingerprint(result.pattern),
+                  pattern_fingerprint(full.pattern))
+            << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(result.pattern.period),
+                  std::bit_cast<std::uint64_t>(full.pattern.period))
+            << where;
+      }
+    }
+  }
+  // The table holds both kinds at small budgets.
+  EXPECT_GT(feasible_small, 0);
+  EXPECT_GT(budget_hit_small, 0);
+}
+
+TEST(BBScheduler, CancelledProbeHasNoVerdict) {
+  const Chain chain = models::paper_network("resnet50");
+  const GoldenCell cell = golden_cells().front();  // resnet50 P4/M5
+  const Platform platform{cell.gpus, cell.memory_gb * GB, 12 * GB};
+  const Allocation allocation(Partitioning(chain, cell.stages),
+                              cell.processor_of_stage, cell.gpus);
+  const CyclicProblem problem =
+      build_cyclic_problem(allocation, chain, platform);
+  // A period the compact construction cannot settle, so the DFS runs.
+  const Seconds period =
+      problem.min_period + 0.25 * (problem.serial_period - problem.min_period);
+  const std::atomic<bool> cancel{true};
+  const BBResult result = bb_schedule(problem, allocation, chain, platform,
+                                      period, BBOptions{}, cancel);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_FALSE(result.node_budget_hit);
+  EXPECT_EQ(result.nodes_visited, 0u);
+  EXPECT_TRUE(result.pattern.ops.empty());
+
+  const std::atomic<bool> go{false};
+  const BBResult uncancelled = bb_schedule(problem, allocation, chain,
+                                           platform, period, BBOptions{}, go);
+  EXPECT_FALSE(uncancelled.cancelled);
+  EXPECT_TRUE(uncancelled.feasible);  // the golden row: feasible, 3625 nodes
+  EXPECT_EQ(uncancelled.nodes_visited, 3625u);
+}
+
 // --- One memory semantics: the shared sweep against validate_pattern -------
 
 /// A pattern for `problem` with random virtual times in chain order (so
@@ -423,6 +513,194 @@ TEST(PeriodSearch, LowerHintIsRespected) {
   const PeriodSearchResult result = find_min_period(a, c, p, hint);
   ASSERT_TRUE(result.feasible);
   EXPECT_GE(result.period, hint * (1.0 - 1e-9));
+}
+
+TEST(PeriodSearch, ResultInvariantInWidth) {
+  // Tight cells whose searches include budget-bound probes: the consumed
+  // probes, and so the period, pattern and counters, must not depend on how
+  // many probes run at once or how many lanes run them.
+  struct TightCell {
+    const char* network;
+    int length;
+    int gpus;
+    double memory_gb;
+  };
+  for (const TightCell& cell : {TightCell{"resnet50", 0, 4, 5},
+                                TightCell{"resnet101", 24, 4, 8},
+                                TightCell{"inception_v3", 24, 8, 3}}) {
+    models::NetworkConfig config;
+    config.network = cell.network;
+    config.chain_length = cell.length;
+    const Chain chain = models::build_network(config);
+    const Platform platform{cell.gpus, cell.memory_gb * GB, 12 * GB};
+    const Phase1Result phase1 = madpipe_phase1(chain, platform);
+    ASSERT_TRUE(phase1.feasible()) << cell.network;
+    ASSERT_FALSE(phase1.allocation->contiguous()) << cell.network;
+
+    const auto search = [&](int width, std::size_t workers) {
+      PeriodSearchOptions options;
+      options.speculation = width;
+      options.workers = workers;
+      return find_min_period(*phase1.allocation, chain, platform,
+                             phase1.period, options);
+    };
+    // The reference: the same bisection with no triage, every probe run
+    // once with the full node budget, one at a time.
+    const CyclicProblem problem =
+        build_cyclic_problem(*phase1.allocation, chain, platform);
+    const Seconds lb = std::max(problem.min_period, phase1.period);
+    const PeriodProbe full = [&](Seconds period, std::size_t max_nodes,
+                                 const std::atomic<bool>& cancel) {
+      BBOptions bb;
+      bb.max_nodes = max_nodes;
+      return bb_schedule(problem, *phase1.allocation, chain, platform, period,
+                         bb, cancel);
+    };
+    PeriodSearchOptions sequential;
+    sequential.speculation = 1;
+    const PeriodSearchResult base = bisect_min_period(
+        lb, std::max(problem.serial_period, lb), full,
+        sequential.bb.max_nodes, sequential);
+    ASSERT_TRUE(base.feasible) << cell.network;
+    EXPECT_GT(base.budget_hit_probes, 0) << cell.network;
+    EXPECT_EQ(base.speculative_probes, 0) << cell.network;
+    EXPECT_EQ(base.cancelled_probes, 0) << cell.network;
+    for (const int width : {1, 2, 4}) {
+      for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        const PeriodSearchResult r = search(width, workers);
+        const std::string where = std::string(cell.network) + " P" +
+                                  std::to_string(cell.gpus) + " W=" +
+                                  std::to_string(width) + " workers=" +
+                                  std::to_string(workers);
+        ASSERT_TRUE(r.feasible) << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.period),
+                  std::bit_cast<std::uint64_t>(base.period))
+            << where;
+        ASSERT_EQ(r.pattern.ops.size(), base.pattern.ops.size()) << where;
+        for (std::size_t i = 0; i < base.pattern.ops.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(r.pattern.ops[i].start),
+                    std::bit_cast<std::uint64_t>(base.pattern.ops[i].start))
+              << where << " op " << i;
+          EXPECT_EQ(r.pattern.ops[i].shift, base.pattern.ops[i].shift)
+              << where << " op " << i;
+        }
+        EXPECT_EQ(r.probes, base.probes) << where;
+        EXPECT_EQ(r.bb_nodes, base.bb_nodes) << where;
+        EXPECT_EQ(r.bb_leaves, base.bb_leaves) << where;
+        EXPECT_EQ(r.budget_hit_probes, base.budget_hit_probes) << where;
+        // Launched = probes + speculative_probes − speculative_hits, and a
+        // cancelled probe is a launched speculative one that was not used.
+        EXPECT_LE(r.speculative_hits, r.probes) << where;
+        EXPECT_LE(r.speculative_hits, r.speculative_probes) << where;
+        EXPECT_LE(r.cancelled_probes,
+                  r.speculative_probes - r.speculative_hits)
+            << where;
+      }
+    }
+  }
+}
+
+TEST(PeriodSearch, CancelledProbesAreNeverConsumed) {
+  // A scripted probe over [1, 2]: periods ≥ 1.37 are feasible. Triage never
+  // settles, so every probe takes the full path. A full probe on a period
+  // the sequential search consumes answers after a short delay; any other
+  // period waits for its cancel flag. A probe that finds its flag set
+  // answers *feasible* with a poison node count and pattern size, so
+  // consuming or caching a cancelled answer would change the result.
+  constexpr std::size_t kTriage = 10, kFull = 1000;
+  constexpr std::size_t kPoison = 1'000'000;
+  const auto verdict = [](Seconds period) {
+    BBResult result;
+    result.feasible = period >= 1.37;
+    result.nodes_visited = 7;
+    result.leaves = result.feasible ? 1 : 0;
+    if (result.feasible) result.pattern.ops.resize(3);
+    return result;
+  };
+  PeriodSearchOptions options;
+  options.bb.max_nodes = kFull;
+  options.relative_precision = 1e-2;
+
+  std::mutex mutex;
+  std::vector<Seconds> full_probes;  // periods the sequential search probed
+  const PeriodProbe sequential = [&](Seconds period, std::size_t max_nodes,
+                                     const std::atomic<bool>&) {
+    BBResult result;
+    if (max_nodes == kTriage) {
+      result.node_budget_hit = true;
+      result.nodes_visited = kTriage;
+      return result;
+    }
+    full_probes.push_back(period);
+    return verdict(period);
+  };
+  options.speculation = 1;
+  const PeriodSearchResult base =
+      bisect_min_period(1.0, 2.0, sequential, kTriage, options);
+  ASSERT_TRUE(base.feasible);
+  ASSERT_GE(base.probes, 5);
+  EXPECT_EQ(base.cancelled_probes, 0);
+
+  int cancelled_answers = 0, needed_cancelled = 0;
+  std::vector<Seconds> answered;
+  const PeriodProbe scripted = [&](Seconds period, std::size_t max_nodes,
+                                   const std::atomic<bool>& cancel) {
+    BBResult result;
+    if (max_nodes == kTriage) {
+      result.node_budget_hit = true;
+      result.nodes_visited = kTriage;
+      return result;
+    }
+    const bool needed = std::find(full_probes.begin(), full_probes.end(),
+                                  period) != full_probes.end();
+    if (needed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    } else {
+      while (!cancel.load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    if (!cancel.load()) {
+      answered.push_back(period);
+      return verdict(period);
+    }
+    needed_cancelled += needed ? 1 : 0;
+    result.cancelled = true;
+    result.feasible = true;
+    result.nodes_visited = kPoison;
+    result.pattern.ops.resize(5);
+    ++cancelled_answers;
+    return result;
+  };
+  for (const int width : {2, 4}) {
+    cancelled_answers = needed_cancelled = 0;
+    answered.clear();
+    options.speculation = width;
+    const PeriodSearchResult r =
+        bisect_min_period(1.0, 2.0, scripted, kTriage, options);
+    EXPECT_EQ(r.feasible, base.feasible) << "W=" << width;
+    EXPECT_EQ(r.period, base.period) << "W=" << width;
+    EXPECT_EQ(r.pattern.ops.size(), base.pattern.ops.size()) << "W=" << width;
+    EXPECT_EQ(r.probes, base.probes) << "W=" << width;
+    EXPECT_EQ(r.bb_nodes, base.bb_nodes) << "W=" << width;
+    EXPECT_EQ(r.bb_leaves, base.bb_leaves) << "W=" << width;
+    // Every wrong guess was started and then cancelled: the search
+    // alternates verdicts, so the lanes' infeasible-first guesses miss.
+    EXPECT_GT(r.cancelled_probes, 0) << "W=" << width;
+    EXPECT_EQ(r.cancelled_probes, cancelled_answers) << "W=" << width;
+    // Only probes the search could no longer demand were cancelled.
+    EXPECT_EQ(needed_cancelled, 0) << "W=" << width;
+    EXPECT_LE(r.cancelled_probes, r.speculative_probes - r.speculative_hits)
+        << "W=" << width;
+    // Each consumed period was probed once and its answer used.
+    std::sort(answered.begin(), answered.end());
+    EXPECT_EQ(answered.size(), static_cast<std::size_t>(base.probes))
+        << "W=" << width;
+    EXPECT_TRUE(std::adjacent_find(answered.begin(), answered.end()) ==
+                answered.end())
+        << "W=" << width;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // bisections must be invariant in speculation width and worker count.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/memory_model.hpp"
@@ -137,6 +139,19 @@ TEST(PlannerFastPath, PlanInvariantInSpeculationAndWorkers) {
           << "W=" << speculation << " workers=" << workers;
       EXPECT_EQ(plan->phase1_period, baseline->phase1_period);
       EXPECT_TRUE(plan->allocation == baseline->allocation);
+      // The schedule itself, bit for bit.
+      ASSERT_EQ(plan->pattern.ops.size(), baseline->pattern.ops.size());
+      for (std::size_t i = 0; i < plan->pattern.ops.size(); ++i) {
+        const PatternOp& op = plan->pattern.ops[i];
+        const PatternOp& base = baseline->pattern.ops[i];
+        EXPECT_EQ(op.kind, base.kind) << i;
+        EXPECT_EQ(op.stage, base.stage) << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(op.start),
+                  std::bit_cast<std::uint64_t>(base.start))
+            << "W=" << speculation << " workers=" << workers << " op " << i;
+        EXPECT_EQ(op.shift, base.shift)
+            << "W=" << speculation << " workers=" << workers << " op " << i;
+      }
     }
   }
 }

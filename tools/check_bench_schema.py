@@ -73,6 +73,9 @@ WORKLOAD_FIELDS = {
 OPTIONAL_STATS_FIELDS = {
     "memo_rehashes": int,
     "memo_rehashes_avoided": int,
+    # Absent from documents written before phase 2 cancelled its unneeded
+    # speculative probes.
+    "phase2_cancelled_probes": int,
 }
 
 STATS_FIELDS = {
@@ -359,6 +362,11 @@ def check_planner_document(doc, path):
                        for key, expected in OPTIONAL_STATS_FIELDS.items()
                        if key in record["stats"]}
             check_fields(record["stats"], present, where + " stats")
+            if per_phase and "phase2_cancelled_probes" in present and (
+                    record["stats"]["phase2_cancelled_probes"] >
+                    record["stats"]["phase2_speculative_probes"]):
+                fail(f"{where} stats: phase2_cancelled_probes exceeds "
+                     "phase2_speculative_probes")
     names = [record["name"] for record in workloads]
     if len(set(names)) != len(names):
         fail(f"{path}: duplicate workload names")

@@ -770,8 +770,10 @@ int cmd_planner(const Args& args) {
               stats.phase1_speculative_probes, stats.phase1_speculative_hits);
   std::printf("  phase 2 probes     %lld (%lld hit the node budget)\n",
               stats.phase2_probes, stats.phase2_budget_hits);
-  std::printf("  phase 2 spec.      %lld extra probes, %lld hits\n",
-              stats.phase2_speculative_probes, stats.phase2_speculative_hits);
+  std::printf("  phase 2 spec.      %lld extra probes, %lld hits, "
+              "%lld cancelled\n",
+              stats.phase2_speculative_probes, stats.phase2_speculative_hits,
+              stats.phase2_cancelled_probes);
   std::printf("  phase 2 b&b        %lld nodes, %lld leaves\n",
               stats.phase2_bb_nodes, stats.phase2_bb_leaves);
   std::printf("  state budget hits  %lld\n", stats.state_budget_hits);
