@@ -7,7 +7,8 @@
 //    insert + final update), and everything a transition determines that
 //    depends only on (k, l, delay_idx) — stage/link loads, the advanced
 //    delay, g(k,l,V) and both memory footprints — is computed once per
-//    distinct triple in a transition cache shared with reconstruction.
+//    distinct triple in dense per-(l, delay_idx) transition rows shared
+//    with reconstruction.
 //    Dominated candidates (whose load/link floor already reaches the best
 //    value, which the strict-improvement rule can never accept) are pruned
 //    before recursing; this changes which states are memoized but provably
@@ -24,6 +25,10 @@
 //  * ReferenceDpSolver — the original recursive, unordered_map-memoized
 //    implementation, kept verbatim as the semantic reference for the
 //    golden-equivalence tests.
+//
+// FreeBoundSolver is not an engine: it evaluates the memory-free relaxation
+// T_free that lower-bounds every engine's period at every target (the
+// certified early stop of Algorithm 1, search.cpp).
 #include "madpipe/dp.hpp"
 
 #include <algorithm>
@@ -62,13 +67,6 @@ std::uint64_t pack_state(int l, int p, int load_idx, int mem_idx,
          static_cast<std::uint64_t>(delay_idx);
 }
 
-/// Packed transition-cache key: k and l at 12 bits, delay_idx at 10.
-std::uint64_t pack_transition(int k, int l, int delay_idx) {
-  return (static_cast<std::uint64_t>(k) << 22) |
-         (static_cast<std::uint64_t>(l) << 10) |
-         static_cast<std::uint64_t>(delay_idx);
-}
-
 /// Lower bound of 𝓜(k,l,g) over every g ≥ 0 and both placement options: the
 /// always-resident weights + scratch term (activation and comm-buffer terms
 /// are non-negative, and the special option only adds m_P ≥ 0 on top). The
@@ -80,6 +78,20 @@ std::uint64_t pack_transition(int k, int l, int delay_idx) {
 bool stage_static_memory_exceeds(const Chain& chain, int k, int l,
                                  Bytes limit) {
   return weights_memory(chain, k, l) + chain.scratch_sum(k, l) > limit;
+}
+
+/// k_lo(l) for l = 1..L (index 0 unused): the smallest k a candidate scan
+/// from l downward reaches before stage_static_memory_exceeds breaks it, or
+/// l + 1 when stage l..l alone already exceeds M. Computed by the same scan,
+/// so `k >= k_lo[l]` is exactly the scan's continue condition.
+std::vector<int> static_window_floors(const Chain& chain, Bytes limit) {
+  std::vector<int> floors(static_cast<std::size_t>(chain.length()) + 1, 1);
+  for (int l = 1; l <= chain.length(); ++l) {
+    int k = l;
+    while (k >= 1 && !stage_static_memory_exceeds(chain, k, l, limit)) --k;
+    floors[static_cast<std::size_t>(l)] = k + 1;
+  }
+  return floors;
 }
 
 /// Per-engine atomic once-guards for the state-budget warning. Engines run
@@ -115,7 +127,8 @@ struct TransitionEntry {
   Bytes normal_memory = 0.0;      ///< 𝓜(k,l,g): the normal-processor cost
   Bytes special_stage_memory = 0.0;  ///< 𝓜(k,l,g−1): §4.2.1's underestimate
   int next_delay_idx = 0;
-  int active_batches = 0;  ///< g(k,l,V)
+  /// g(k,l,V) ≥ 1; 0 marks a transition-row slot not computed yet.
+  int active_batches = 0;
 };
 
 /// The transition math, shared by every engine (and reconstruction) so the
@@ -163,7 +176,10 @@ class FlatDpSolver {
         memory_grid_(platform.memory_per_processor, options.grid.memory_points),
         delay_grid_(delay_upper_bound(chain, platform),
                     options.grid.delay_points),
-        transitions_(transition_size_heuristic()) {
+        k_lo_(static_window_floors(chain, platform.memory_per_processor)),
+        row_offset_(static_cast<std::size_t>(chain.length() + 1) *
+                        static_cast<std::size_t>(options.grid.delay_points),
+                    kNoRow) {
     // reserve() (not the sizing constructor) so the avoided growth rehashes
     // are counted into the stats below.
     memo_.reserve(memo_size_heuristic());
@@ -226,27 +242,30 @@ class FlatDpSolver {
                      static_cast<std::size_t>(1) << 20});
   }
 
-  std::size_t transition_size_heuristic() const {
-    const std::size_t pairs = static_cast<std::size_t>(chain_.length()) *
-                              static_cast<std::size_t>(chain_.length() + 1) /
-                              2;
-    return std::min(pairs * static_cast<std::size_t>(
-                                options_.grid.delay_points),
-                    static_cast<std::size_t>(1) << 17);
-  }
-
-  /// compute_transition, cached per distinct (k, l, delay_idx) triple.
+  /// compute_transition, cached per distinct (k, l, delay_idx) triple in a
+  /// dense row per (l, delay_idx): slots k = l down to k_lo(l), appended to
+  /// the arena on the row's first use and filled one slot at a time.
   TransitionEntry transition(int k, int l, int delay_idx) {
     ++stats_.transition_lookups;
-    const std::uint64_t key = pack_transition(k, l, delay_idx);
-    if (const TransitionEntry* hit = transitions_.find(key)) {
-      ++stats_.transition_hits;
-      return *hit;
+    std::uint32_t& row =
+        row_offset_[static_cast<std::size_t>(l) *
+                        static_cast<std::size_t>(options_.grid.delay_points) +
+                    static_cast<std::size_t>(delay_idx)];
+    if (row == kNoRow) {
+      const std::size_t width =
+          static_cast<std::size_t>(l - k_lo_[static_cast<std::size_t>(l)] + 1);
+      MP_ENSURE(arena_.size() + width < kNoRow, "transition arena overflow");
+      row = static_cast<std::uint32_t>(arena_.size());
+      arena_.resize(arena_.size() + width);
     }
-    const TransitionEntry entry = compute_transition(
-        chain_, platform_, delay_grid_, target_, options_, k, l, delay_idx);
-    transitions_.emplace(key, entry);
-    return entry;
+    TransitionEntry& slot = arena_[row + static_cast<std::size_t>(l - k)];
+    if (slot.active_batches != 0) {
+      ++stats_.transition_hits;
+      return slot;
+    }
+    slot = compute_transition(chain_, platform_, delay_grid_, target_,
+                              options_, k, l, delay_idx);
+    return slot;
   }
 
   double base_l0(int load_idx) const { return load_grid_.value(load_idx); }
@@ -332,8 +351,8 @@ class FlatDpSolver {
       if (value < f.best) f.best = value;
     }
     const Bytes limit = platform_.memory_per_processor;
-    while (f.k >= 1) {
-      if (stage_static_memory_exceeds(chain_, f.k, f.l, limit)) break;
+    const int k_lo = k_lo_[static_cast<std::size_t>(f.l)];
+    while (f.k >= k_lo) {
       const TransitionEntry e = transition(f.k, f.l, f.delay_idx);
 
       if (f.opt == 0) {
@@ -440,8 +459,7 @@ class FlatDpSolver {
       int best_next_load = load_idx;
       int best_next_mem = mem_idx;
       int best_next_delay = delay_idx;
-      for (int k = l; k >= 1; --k) {
-        if (stage_static_memory_exceeds(chain_, k, l, limit)) break;
+      for (int k = l; k >= k_lo_[static_cast<std::size_t>(l)]; --k) {
         const TransitionEntry e = transition(k, l, delay_idx);
         if (e.normal_memory <= limit) {
           const double floor = std::max(e.stage_load, e.link_load);
@@ -530,12 +548,186 @@ class FlatDpSolver {
   Grid load_grid_;
   Grid memory_grid_;
   Grid delay_grid_;
+  static constexpr std::uint32_t kNoRow =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<int> k_lo_;  ///< static_window_floors: scan floor per l
+  /// Arena offset of the transition row of (l, delay_idx), kNoRow until the
+  /// row is first used; index l · delay_points + delay_idx.
+  std::vector<std::uint32_t> row_offset_;
+  std::vector<TransitionEntry> arena_;
   util::FlatHash64<double> memo_;
-  util::FlatHash64<TransitionEntry> transitions_;
   std::vector<Frame> stack_;
   double last_value_ = kInfinity;
   bool budget_hit_ = false;
   PlannerStats stats_;
+};
+
+// ---------------------------------------------------------------------------
+// Memory-free lower bound T_free (DESIGN.md §7, "Certified early stop")
+// ---------------------------------------------------------------------------
+//
+// FlatDpSolver's recurrence with every memory check dropped except the
+// static window k ≥ k_lo(l), which every engine applies at every target.
+// What is left — the floors max(U(k,l), C(k−1)), the special load snap and
+// both base cases — is built from the same expressions and depends on
+// neither m_P, V nor T̂, so the states are (l, p, load_idx). Each
+// constrained candidate is a relaxed candidate with the same floor whose
+// child differs only in the ignored coordinates, so by induction on l every
+// probe's period is ≥ T_free, whatever its target.
+class FreeBoundSolver {
+ public:
+  FreeBoundSolver(const Chain& chain, const Platform& platform,
+                  const MadPipeDPOptions& options)
+      : chain_(chain),
+        platform_(platform),
+        options_(options),
+        load_grid_(chain.total_compute(), options.grid.load_points),
+        k_lo_(static_window_floors(chain, platform.memory_per_processor)),
+        link_load_(static_cast<std::size_t>(chain.length()) + 1, 0.0) {
+    // C(k−1) per k, exactly as compute_transition computes it.
+    for (int k = 2; k <= chain.length(); ++k) {
+      link_load_[static_cast<std::size_t>(k)] =
+          platform.boundary_comm_time(chain, k - 1);
+    }
+  }
+
+  MadPipeDPBound run() {
+    MadPipeDPBound bound;
+    bound.period = solve_root(chain_.length(), options_.allow_special
+                                                   ? platform_.processors - 1
+                                                   : platform_.processors);
+    bound.states = memo_.size();
+    bound.state_budget_hit = budget_hit_;
+    return bound;
+  }
+
+ private:
+  /// FlatDpSolver::Frame without the m_P and V coordinates.
+  struct Frame {
+    std::uint64_t key = 0;
+    int l = 0, p = 0, load_idx = 0;
+    int k = 0;
+    std::uint8_t opt = 0;
+    bool waiting = false;
+    double pending_floor = 0.0;
+    double best = kInfinity;
+  };
+
+  /// p == 0: layers 1..l join the special processor. The constrained base
+  /// adds activations, buffers and m_P to this static term (rounded sums of
+  /// non-negative terms, never smaller), so it is ∞ whenever this one is.
+  double special_base(int l, int load_idx) const {
+    if (!options_.allow_special) return kInfinity;
+    if (stage_static_memory_exceeds(chain_, 1, l,
+                                    platform_.memory_per_processor)) {
+      return kInfinity;
+    }
+    return chain_.compute_load(1, l) + load_grid_.value(load_idx);
+  }
+
+  void push_frame(std::uint64_t key, int l, int p, int load_idx) {
+    Frame frame;
+    frame.key = key;
+    frame.l = l;
+    frame.p = p;
+    frame.load_idx = load_idx;
+    frame.k = l;
+    stack_.push_back(frame);
+    memo_.emplace(key, kInfinity);  // placeholder, as in FlatDpSolver
+  }
+
+  std::optional<double> child_value(int l, int p, int load_idx) {
+    if (l == 0) return load_grid_.value(load_idx);
+    if (p == 0) return special_base(l, load_idx);
+    const std::uint64_t key = pack_state(l, p, load_idx, 0, 0);
+    if (const double* value = memo_.find(key)) return *value;
+    if (memo_.size() >= options_.max_states) {
+      budget_hit_ = true;
+      return kInfinity;
+    }
+    push_frame(key, l, p, load_idx);
+    return std::nullopt;
+  }
+
+  double solve_root(int l, int p) {
+    if (l == 0) return load_grid_.value(0);
+    if (p == 0) return special_base(l, 0);
+    if (options_.max_states == 0) {
+      budget_hit_ = true;
+      return kInfinity;
+    }
+    push_frame(pack_state(l, p, 0, 0, 0), l, p, 0);
+    while (!stack_.empty()) step();
+    return last_value_;
+  }
+
+  /// FlatDpSolver::step with the memory checks removed.
+  void step() {
+    const std::size_t fi = stack_.size() - 1;
+    Frame& f = stack_[fi];
+    if (f.waiting) {
+      f.waiting = false;
+      const double value = std::max(f.pending_floor, last_value_);
+      if (value < f.best) f.best = value;
+    }
+    const int k_lo = k_lo_[static_cast<std::size_t>(f.l)];
+    while (f.k >= k_lo) {
+      const Seconds stage_load = chain_.compute_load(f.k, f.l);
+      const Seconds link_load = link_load_[static_cast<std::size_t>(f.k)];
+
+      if (f.opt == 0) {
+        f.opt = 1;
+        const double floor = std::max(stage_load, link_load);
+        if (floor < f.best) {
+          const auto sub = child_value(f.k - 1, f.p - 1, f.load_idx);
+          if (!sub.has_value()) {
+            stack_[fi].pending_floor = floor;
+            stack_[fi].waiting = true;
+            return;
+          }
+          const double value = std::max(floor, *sub);
+          if (value < f.best) f.best = value;
+        }
+      }
+
+      const int k = f.k;
+      f.opt = 0;
+      --f.k;
+      if (!options_.allow_special) {
+        if (stage_load >= f.best) break;
+        continue;
+      }
+      const Seconds special_load =
+          load_grid_.snap(load_grid_.value(f.load_idx) + stage_load,
+                          options_.grid.rounding);
+      const double floor = std::max(special_load, link_load);
+      if (floor >= f.best) continue;
+      const auto sub = child_value(
+          k - 1, f.p, load_grid_.index(special_load, options_.grid.rounding));
+      if (!sub.has_value()) {
+        stack_[fi].pending_floor = floor;
+        stack_[fi].waiting = true;
+        return;
+      }
+      const double value = std::max(floor, *sub);
+      if (value < f.best) f.best = value;
+    }
+
+    *memo_.emplace(f.key, f.best).first = f.best;
+    last_value_ = f.best;
+    stack_.pop_back();
+  }
+
+  const Chain& chain_;
+  const Platform& platform_;
+  MadPipeDPOptions options_;
+  Grid load_grid_;
+  std::vector<int> k_lo_;
+  std::vector<Seconds> link_load_;  ///< C(k−1), indexed by k
+  util::FlatHash64<double> memo_;
+  std::vector<Frame> stack_;
+  double last_value_ = kInfinity;
+  bool budget_hit_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -585,6 +777,7 @@ class WavefrontDpSolver {
         memory_grid_(platform.memory_per_processor, options.grid.memory_points),
         delay_grid_(delay_upper_bound(chain, platform),
                     options.grid.delay_points),
+        k_lo_(static_window_floors(chain, platform.memory_per_processor)),
         panel_of_delay_(options.grid.delay_points, -1) {}
 
   MadPipeDPResult run() {
@@ -741,14 +934,9 @@ class WavefrontDpSolver {
 
   void build_panel(Panel& panel, int l, int delay_idx) const {
     const Bytes limit = platform_.memory_per_processor;
-    // The static-memory break point: every candidate scan stops at the
-    // smallest k whose weights+scratch term still fits M, so nothing below
-    // it is ever read.
-    int k_floor = l + 1;
-    while (k_floor > 1 &&
-           !stage_static_memory_exceeds(chain_, k_floor - 1, l, limit)) {
-      --k_floor;
-    }
+    // The static-memory break point: every candidate scan stops at k_lo(l),
+    // so nothing below it is ever read.
+    const int k_floor = k_lo_[static_cast<std::size_t>(l)];
     panel.k_floor = k_floor;
     const std::size_t n = static_cast<std::size_t>(l);
     panel.stage_load.resize(n);
@@ -1077,6 +1265,7 @@ class WavefrontDpSolver {
   Grid load_grid_;
   Grid memory_grid_;
   Grid delay_grid_;
+  std::vector<int> k_lo_;  ///< static_window_floors: scan floor per l
   std::vector<Slab> slabs_;
   std::vector<Panel> panels_;       ///< reused slots for the current wavefront
   std::vector<int> panel_of_delay_; ///< delay_idx → index into panels_, or −1
@@ -1366,6 +1555,23 @@ MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
   span.arg("states", static_cast<long long>(result.states_visited));
   span.arg("budget_hit", result.state_budget_hit ? 1 : 0);
   return result;
+}
+
+MadPipeDPBound madpipe_dp_memory_free_bound(const Chain& chain,
+                                            const Platform& platform,
+                                            const MadPipeDPOptions& options) {
+  platform.validate();
+  MP_EXPECT(chain.length() <= 4095, "chain too long for the packed DP state");
+  MP_EXPECT(platform.processors <= 64,
+            "packed DP state supports at most 64 processors");
+  MP_EXPECT(options.grid.load_points <= 1024,
+            "grids must fit the packed state (≤ 1024 points each)");
+  obs::Span span("dp_free_bound", obs::kCatPlanner);
+  FreeBoundSolver solver(chain, platform, options);
+  const MadPipeDPBound bound = solver.run();
+  span.arg("states", static_cast<long long>(bound.states));
+  span.arg("budget_hit", bound.state_budget_hit ? 1 : 0);
+  return bound;
 }
 
 namespace detail {

@@ -44,7 +44,7 @@ enum class DelayCommVariant {
 enum class DpEngine {
   /// Fast path (default): explicit work-stack iteration (no recursion-depth
   /// hazard at L = 4095), a flat open-addressing memo with 16-byte entries,
-  /// a (k, l, delay) transition cache, and dominated-candidate pruning.
+  /// dense per-(l, delay) transition rows, and dominated-candidate pruning.
   FlatIterative,
   /// The original recursive, std::unordered_map-memoized implementation;
   /// kept as the reference for equivalence testing.
@@ -98,6 +98,26 @@ struct MadPipeDPResult {
 MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
                            Seconds target_period,
                            const MadPipeDPOptions& options = {});
+
+struct MadPipeDPBound {
+  /// T_free; infinity when even the relaxed recurrence finds no allocation.
+  /// A lower bound only when !state_budget_hit.
+  Seconds period = 0.0;
+  std::size_t states = 0;  ///< (l, p, t_P) states memoized
+  /// max_states fired: unexplored states counted as infeasible, so `period`
+  /// may overestimate T_free and bounds nothing.
+  bool state_budget_hit = false;
+};
+
+/// T_free: the MadPipe-DP recurrence with every memory check dropped except
+/// the per-stage static window (weights + scratch ≤ M), on the same grids,
+/// rounding, floors and `allow_special` setting. It depends on neither m_P,
+/// V nor T̂, so one evaluation over (l, p, t_P) states is a lower bound on
+/// `madpipe_dp(chain, platform, T̂, options).period` for every T̂ and every
+/// engine. Not a probe: it adds nothing to any PlannerStats counter.
+MadPipeDPBound madpipe_dp_memory_free_bound(const Chain& chain,
+                                            const Platform& platform,
+                                            const MadPipeDPOptions& options = {});
 
 namespace detail {
 

@@ -28,6 +28,7 @@ void PlannerStats::absorb(const PlannerStats& other) noexcept {
   phase2_speculative_probes += other.phase2_speculative_probes;
   phase2_speculative_hits += other.phase2_speculative_hits;
   phase2_cancelled_probes += other.phase2_cancelled_probes;
+  phase1_early_stops += other.phase1_early_stops;
   phase2_bb_nodes += other.phase2_bb_nodes;
   phase2_bb_leaves += other.phase2_bb_leaves;
   phase2_budget_hits += other.phase2_budget_hits;
@@ -75,6 +76,8 @@ void PlannerStats::write_json(json::Writer& writer) const {
   writer.value(phase2_speculative_hits);
   writer.key("phase2_cancelled_probes");
   writer.value(phase2_cancelled_probes);
+  writer.key("phase1_early_stops");
+  writer.value(phase1_early_stops);
   writer.key("phase2_bb_nodes");
   writer.value(phase2_bb_nodes);
   writer.key("phase2_bb_leaves");
@@ -111,6 +114,7 @@ void PlannerStats::publish() const {
     obs::Counter& phase2_speculative_probes;
     obs::Counter& phase2_speculative_hits;
     obs::Counter& phase2_cancelled_probes;
+    obs::Counter& phase1_early_stops;
     obs::Counter& phase2_bb_nodes;
     obs::Counter& phase2_bb_leaves;
     obs::Counter& phase2_budget_hits;
@@ -158,6 +162,8 @@ void PlannerStats::publish() const {
                   "Phase-2 demanded probes served from a speculative launch"),
         r.counter("madpipe_planner_phase2_cancelled_probes_total",
                   "Phase-2 speculative probes cancelled as no longer needed"),
+        r.counter("madpipe_planner_phase1_early_stops_total",
+                  "Phase-1 searches stopped early by the memory-free bound"),
         r.counter("madpipe_planner_phase2_bb_nodes_total",
                   "B&B nodes expanded by consumed phase-2 probes"),
         r.counter("madpipe_planner_phase2_bb_leaves_total",
@@ -191,6 +197,7 @@ void PlannerStats::publish() const {
   metrics.phase2_speculative_probes.add(phase2_speculative_probes);
   metrics.phase2_speculative_hits.add(phase2_speculative_hits);
   metrics.phase2_cancelled_probes.add(phase2_cancelled_probes);
+  metrics.phase1_early_stops.add(phase1_early_stops);
   metrics.phase2_bb_nodes.add(phase2_bb_nodes);
   metrics.phase2_bb_leaves.add(phase2_bb_leaves);
   metrics.phase2_budget_hits.add(phase2_budget_hits);

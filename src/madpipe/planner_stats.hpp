@@ -51,6 +51,9 @@ struct PlannerStats {
   /// Phase-2 speculative probes cancelled once the search could no longer
   /// demand them (counted in phase2_speculative_probes, never consumed).
   long long phase2_cancelled_probes = 0;
+  /// Algorithm 1 runs that stopped before their K probes because the
+  /// incumbent reached the memory-free bound T_free (0 or 1 per plan).
+  long long phase1_early_stops = 0;
 
   // --- cyclic branch-and-bound, over the consumed phase-2 probes ---
   long long phase2_bb_nodes = 0;     ///< DFS nodes expanded

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -26,7 +27,8 @@ std::uint64_t target_key(Seconds target) {
   return bits;
 }
 
-/// Speculative DP-probe runner for Algorithm 1.
+/// Speculative DP-probe runner for Algorithm 1, and keeper of the
+/// memory-free bound T_free that certifies the early stop.
 ///
 /// The bisection consumes probe results strictly in sequence, but each
 /// iteration's *next* target is a deterministic function of the current
@@ -44,15 +46,23 @@ std::uint64_t target_key(Seconds target) {
 /// and run the whole batch concurrently. Mispredicted probes are simply
 /// never consumed; consumed results are identical to a sequential run for
 /// every W.
+///
+/// When the search may stop early, the first batch is the demanded probe
+/// alone: on every `plan_roomy` cell the first feasible probe moves ub to
+/// its own period, which neither predicted outcome expects, and the stop
+/// then usually ends the search. T_free is computed on first request, after
+/// a consumed probe, at every W.
 class ProbeRunner {
  public:
   ProbeRunner(const Chain& chain, const Platform& platform,
-              const Phase1Options& options, int iterations_left_at_start)
+              const Phase1Options& options, int iterations_left_at_start,
+              bool single_first_probe)
       : chain_(chain),
         platform_(platform),
         options_(options),
         width_(par::speculation_width(options.speculation)),
-        budget_(iterations_left_at_start) {}
+        budget_(iterations_left_at_start),
+        single_first_probe_(single_first_probe) {}
 
   /// Result for `target`, launching a speculative batch on a cache miss.
   /// (lb, ub) is the search state *before* this probe; `consumed` is the
@@ -70,6 +80,15 @@ class ProbeRunner {
     return it->second;
   }
 
+  /// T_free, or nullopt when its state budget ran out (no bound).
+  std::optional<Seconds> period_bound() {
+    if (!bound_.has_value()) {
+      bound_ = madpipe_dp_memory_free_bound(chain_, platform_, options_.dp);
+    }
+    if (bound_->state_budget_hit) return std::nullopt;
+    return bound_->period;
+  }
+
   const PlannerStats& stats() const noexcept { return stats_; }
 
  private:
@@ -83,10 +102,11 @@ class ProbeRunner {
                     int iterations_left) {
     // Breadth-first over the two predictable outcomes, bounded by the
     // speculation width and the iterations the search can still consume.
+    const int width = single_first_probe_ && cache_.empty() ? 1 : width_;
     std::vector<Pending> batch;
     batch.push_back({target, lb, ub, 0});
     for (std::size_t i = 0;
-         i < batch.size() && batch.size() < static_cast<std::size_t>(width_);
+         i < batch.size() && batch.size() < static_cast<std::size_t>(width);
          ++i) {
       const Pending cur = batch[i];
       if (cur.depth + 1 >= iterations_left) continue;
@@ -96,7 +116,7 @@ class ProbeRunner {
         const Seconds nub = cur.ub;
         maybe_push(batch, nlb, nub, cur.depth + 1);
       }
-      if (batch.size() >= static_cast<std::size_t>(width_)) break;
+      if (batch.size() >= static_cast<std::size_t>(width)) break;
       // Outcome B: feasible with dp.period ≤ lb. lb unchanged,
       // ub ← min(ub, max(dp.period, T̂)) = min(ub, T̂).
       {
@@ -143,6 +163,8 @@ class ProbeRunner {
   const Phase1Options& options_;
   const int width_;
   const int budget_;
+  const bool single_first_probe_;
+  std::optional<MadPipeDPBound> bound_;
   std::unordered_map<std::uint64_t, MadPipeDPResult> cache_;
   PlannerStats stats_;
 };
@@ -165,7 +187,13 @@ Phase1Result madpipe_phase1(const Chain& chain, const Platform& platform,
   Phase1Result result;
   result.period = std::numeric_limits<double>::infinity();
 
-  ProbeRunner runner(chain, platform, options, options.iterations);
+  // Certified early stop (DESIGN.md §7): every iterate achieves at least
+  // T_free, and only a strictly smaller one replaces the incumbent, so once
+  // the incumbent reaches T_free the remaining probes cannot change the
+  // result. Callers that keep every iterate's allocation consume the rest.
+  const bool may_stop = !options.keep_iterate_allocations;
+  ProbeRunner runner(chain, platform, options, options.iterations, may_stop);
+  bool early_stop = false;
 
   Seconds target = lb;
   for (int i = 0; i < options.iterations; ++i) {
@@ -186,11 +214,20 @@ Phase1Result madpipe_phase1(const Chain& chain, const Platform& platform,
     lb = std::max(lb, std::min(dp.period, target));
     ub = std::min(ub, achieved);
     if (ub <= lb * (1.0 + 1e-9)) break;  // search interval collapsed
+    if (may_stop && i + 1 < options.iterations) {
+      const std::optional<Seconds> bound = runner.period_bound();
+      if (bound.has_value() && result.period <= *bound) {
+        early_stop = true;
+        break;
+      }
+    }
     target = 0.5 * (lb + ub);
   }
   span.arg("probes", static_cast<long long>(result.trace.size()));
+  span.arg("early_stop", early_stop ? 1 : 0);
   result.stats = runner.stats();
   result.stats.phase1_probes = static_cast<long long>(result.trace.size());
+  result.stats.phase1_early_stops = early_stop ? 1 : 0;
   result.stats.phase1_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

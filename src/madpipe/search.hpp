@@ -6,6 +6,14 @@
 // schedule of the produced allocation needs a period ≥ max(DP result, T̂).
 // Each iteration therefore tightens lb = max(lb, min(T, T̂)) and
 // ub = min(ub, max(T, T̂)) and probes the midpoint.
+//
+// Certified early stop: every iterate achieves at least T_free, the
+// memory-free bound of `madpipe_dp_memory_free_bound`, and only a strictly
+// smaller iterate replaces the incumbent. Once the incumbent reaches T_free
+// the search stops, so the trace is a prefix of the full K-probe trace and
+// the period, allocation and `uses_special` are bit-identical to it. The stop
+// is off with `keep_iterate_allocations`, whose callers consume later
+// iterates (DESIGN.md §7).
 #pragma once
 
 #include <optional>
@@ -20,7 +28,8 @@ struct Phase1Options {
   int iterations = 10;  ///< K of Algorithm 1 (10 suffices per the paper)
   MadPipeDPOptions dp;
   /// Retain every iterate's allocation in the trace (used by the "schedule
-  /// the best k iterates" extension; the paper keeps only the best).
+  /// the best k iterates" extension; the paper keeps only the best). Also
+  /// runs all K probes: the certified early stop is off.
   bool keep_iterate_allocations = false;
   /// Speculation width W of the bisection fast path: up to W DP probes run
   /// concurrently, the extras at the targets the search would request next
@@ -46,6 +55,8 @@ struct Phase1Result {
   Seconds period = 0.0;
   std::optional<Allocation> allocation;  ///< allocation of the best iterate
   bool uses_special = false;
+  /// One entry per consumed probe: ≤ `iterations` entries, fewer when the
+  /// interval collapsed or the early stop fired (a prefix of the full trace).
   std::vector<Phase1Iteration> trace;
   /// Counters summed over every DP probe launched (speculative ones
   /// included); phase1_probes counts only the probes the search consumed.

@@ -114,8 +114,10 @@ TEST(PlannerFastPath, ContiguousAblationMatchesReference) {
 }
 
 TEST(PlannerFastPath, PlanInvariantInSpeculationAndWorkers) {
+  // 8 GB runs all K phase-1 probes; 24 GB stops after the first.
+  for (const double memory_gb : {8.0, 24.0}) {
   const Chain chain = models::paper_network("resnet50");
-  const Platform platform{4, 8 * GB, 12 * GB};
+  const Platform platform{4, memory_gb * GB, 12 * GB};
 
   auto plan_with = [&](int speculation, std::size_t workers) {
     MadPipeOptions options;
@@ -139,6 +141,13 @@ TEST(PlannerFastPath, PlanInvariantInSpeculationAndWorkers) {
           << "W=" << speculation << " workers=" << workers;
       EXPECT_EQ(plan->phase1_period, baseline->phase1_period);
       EXPECT_TRUE(plan->allocation == baseline->allocation);
+      // The consumed trace's length and the stop decision too.
+      EXPECT_EQ(plan->stats.phase1_probes, baseline->stats.phase1_probes);
+      EXPECT_EQ(plan->stats.phase1_early_stops,
+                baseline->stats.phase1_early_stops);
+      EXPECT_EQ(plan->stats.phase1_probes,
+                plan->stats.dp_probes - plan->stats.phase1_speculative_probes +
+                    plan->stats.phase1_speculative_hits);
       // The schedule itself, bit for bit.
       ASSERT_EQ(plan->pattern.ops.size(), baseline->pattern.ops.size());
       for (std::size_t i = 0; i < plan->pattern.ops.size(); ++i) {
@@ -154,34 +163,77 @@ TEST(PlannerFastPath, PlanInvariantInSpeculationAndWorkers) {
       }
     }
   }
+  EXPECT_EQ(baseline->stats.phase1_early_stops, memory_gb > 8.0 ? 1 : 0);
+  }
 }
 
 TEST(PlannerFastPath, Phase1DeterministicAcrossWorkerCounts) {
+  // 2 GB runs all K probes of a feasible search, several speculative
+  // batches deep at W > 1; 16 GB stops after the first. 6 GB is the cell
+  // this test has always covered; its stop decision is not pinned.
   const Chain chain = models::paper_network("inception_v3");
-  const Platform platform{4, 6 * GB, 12 * GB};
+  for (const double memory_gb : {2.0, 6.0, 16.0}) {
+    const Platform platform{4, memory_gb * GB, 12 * GB};
+    auto phase1_with = [&](int speculation, std::size_t workers) {
+      Phase1Options options;
+      options.dp.grid = Discretization::coarse();
+      options.speculation = speculation;
+      options.workers = workers;
+      return madpipe_phase1(chain, platform, options);
+    };
 
-  auto phase1_with = [&](int speculation, std::size_t workers) {
-    Phase1Options options;
-    options.dp.grid = Discretization::coarse();
-    options.speculation = speculation;
-    options.workers = workers;
-    return madpipe_phase1(chain, platform, options);
-  };
-
-  const Phase1Result sequential = phase1_with(1, 1);
-  const Phase1Result speculated = phase1_with(4, 4);
-  EXPECT_EQ(speculated.period, sequential.period);
-  ASSERT_EQ(speculated.feasible(), sequential.feasible());
-  if (sequential.feasible()) {
-    EXPECT_TRUE(*speculated.allocation == *sequential.allocation);
+    const Phase1Result sequential = phase1_with(1, 1);
+    ASSERT_TRUE(sequential.feasible()) << "M=" << memory_gb;
+    if (memory_gb == 2.0) {
+      EXPECT_EQ(sequential.stats.phase1_early_stops, 0);
+    }
+    if (memory_gb == 16.0) {
+      EXPECT_EQ(sequential.stats.phase1_early_stops, 1);
+    }
+    for (const int speculation : {1, 2, 4}) {
+      for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        const Phase1Result speculated = phase1_with(speculation, workers);
+        const std::string label = "M=" + std::to_string(memory_gb) +
+                                  " W=" + std::to_string(speculation) +
+                                  " workers=" + std::to_string(workers);
+        EXPECT_EQ(speculated.period, sequential.period) << label;
+        ASSERT_EQ(speculated.feasible(), sequential.feasible()) << label;
+        if (sequential.feasible()) {
+          EXPECT_TRUE(*speculated.allocation == *sequential.allocation)
+              << label;
+        }
+        // The consumed probe sequence — and hence the trace — must be
+        // identical, and so must the decision to stop early.
+        ASSERT_EQ(speculated.trace.size(), sequential.trace.size()) << label;
+        for (std::size_t i = 0; i < sequential.trace.size(); ++i) {
+          EXPECT_EQ(speculated.trace[i].target, sequential.trace[i].target)
+              << label << " " << i;
+          EXPECT_EQ(speculated.trace[i].achieved,
+                    sequential.trace[i].achieved)
+              << label << " " << i;
+        }
+        EXPECT_EQ(speculated.stats.phase1_probes,
+                  sequential.stats.phase1_probes)
+            << label;
+        EXPECT_EQ(speculated.stats.phase1_early_stops,
+                  sequential.stats.phase1_early_stops)
+            << label;
+        if (memory_gb == 2.0 && speculation > 1) {
+          EXPECT_GT(speculated.stats.phase1_speculative_hits, 0) << label;
+        }
+        if (memory_gb == 16.0) {
+          // The first batch is the demanded probe alone when the search may
+          // stop, so a search that stops after it launches nothing else.
+          EXPECT_EQ(speculated.stats.dp_probes, 1) << label;
+        }
+        EXPECT_EQ(speculated.stats.phase1_probes,
+                  speculated.stats.dp_probes -
+                      speculated.stats.phase1_speculative_probes +
+                      speculated.stats.phase1_speculative_hits)
+            << label;
+      }
+    }
   }
-  // The consumed probe sequence — and hence the trace — must be identical.
-  ASSERT_EQ(speculated.trace.size(), sequential.trace.size());
-  for (std::size_t i = 0; i < sequential.trace.size(); ++i) {
-    EXPECT_EQ(speculated.trace[i].target, sequential.trace[i].target) << i;
-    EXPECT_EQ(speculated.trace[i].achieved, sequential.trace[i].achieved) << i;
-  }
-  EXPECT_EQ(speculated.stats.phase1_probes, sequential.stats.phase1_probes);
 }
 
 TEST(PlannerFastPath, StateBudgetSetsFlagOnBothEngines) {

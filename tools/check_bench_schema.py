@@ -76,6 +76,9 @@ OPTIONAL_STATS_FIELDS = {
     # Absent from documents written before phase 2 cancelled its unneeded
     # speculative probes.
     "phase2_cancelled_probes": int,
+    # Absent from documents written before phase 1 could stop early on the
+    # memory-free bound.
+    "phase1_early_stops": int,
 }
 
 STATS_FIELDS = {
@@ -367,6 +370,14 @@ def check_planner_document(doc, path):
                     record["stats"]["phase2_speculative_probes"]):
                 fail(f"{where} stats: phase2_cancelled_probes exceeds "
                      "phase2_speculative_probes")
+            # A stats block covers one planner run: at most one phase-1
+            # search, and none for a bare DP probe (phase1_probes == 0).
+            plans = 1 if record["stats"]["phase1_probes"] > 0 else 0
+            if "phase1_early_stops" in present and not (
+                    0 <= record["stats"]["phase1_early_stops"] <= plans):
+                fail(f"{where} stats: phase1_early_stops "
+                     f"{record['stats']['phase1_early_stops']} outside "
+                     f"[0, {plans}] (plans in this block)")
     names = [record["name"] for record in workloads]
     if len(set(names)) != len(names):
         fail(f"{path}: duplicate workload names")

@@ -766,8 +766,10 @@ int cmd_planner(const Args& args) {
                   ? 100.0 * static_cast<double>(stats.transition_hits) /
                         static_cast<double>(stats.transition_lookups)
                   : 0.0);
-  std::printf("  phase 1 spec.      %lld extra probes, %lld hits\n",
-              stats.phase1_speculative_probes, stats.phase1_speculative_hits);
+  std::printf("  phase 1 spec.      %lld extra probes, %lld hits, "
+              "%lld early stops\n",
+              stats.phase1_speculative_probes, stats.phase1_speculative_hits,
+              stats.phase1_early_stops);
   std::printf("  phase 2 probes     %lld (%lld hit the node budget)\n",
               stats.phase2_probes, stats.phase2_budget_hits);
   std::printf("  phase 2 spec.      %lld extra probes, %lld hits, "
