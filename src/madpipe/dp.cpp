@@ -11,8 +11,12 @@
 //    with reconstruction.
 //    Dominated candidates (whose load/link floor already reaches the best
 //    value, which the strict-improvement rule can never accept) are pruned
-//    before recursing; this changes which states are memoized but provably
-//    not the achieved period or allocation.
+//    before recursing, each candidate scan ends once both options' load
+//    floors reach the best value (they only grow as k falls), and, given the
+//    T_free table of the memory-free relaxation, a candidate whose child's
+//    T_free reaches the best value is skipped too. These change which states
+//    are memoized but provably not any memoized value, the achieved period
+//    or the allocation.
 //
 //  * WavefrontDpSolver — the parallel path (DESIGN.md §11). States are
 //    grouped into per-layer structure-of-arrays slabs; every transition
@@ -28,7 +32,8 @@
 //
 // FreeBoundSolver is not an engine: it evaluates the memory-free relaxation
 // T_free that lower-bounds every engine's period at every target (the
-// certified early stop of Algorithm 1, search.cpp).
+// certified early stop of Algorithm 1, search.cpp) and, state by state,
+// every constrained state FlatDpSolver evaluates (its bound-guided cuts).
 #include "madpipe/dp.hpp"
 
 #include <algorithm>
@@ -73,8 +78,9 @@ std::uint64_t pack_state(int l, int p, int load_idx, int mem_idx,
 /// bound grows monotonically as k falls, so once it exceeds M no smaller k
 /// can be feasible and the candidate scans break there. Every skipped
 /// candidate fails both options' memory checks in every engine, so the break
-/// changes no memoized state, value, or reconstruction choice — it only
-/// keeps the scans O(stage window) instead of O(L) on multi-GiB chains.
+/// changes no memoized state, value, or reconstruction choice. It bounds
+/// the scans by the stage window whatever the incumbent; on roomy chains,
+/// where the window is the whole chain, `scan_ends` is what ends them.
 bool stage_static_memory_exceeds(const Chain& chain, int k, int l,
                                  Bytes limit) {
   return weights_memory(chain, k, l) + chain.scratch_sum(k, l) > limit;
@@ -160,6 +166,25 @@ TransitionEntry compute_transition(const Chain& chain, const Platform& platform,
   return entry;
 }
 
+/// The monotone scan end: true when neither option of candidate k (nor of
+/// any smaller k) can beat `best`. U(k,l) is a difference of prefix sums of
+/// non-negative terms, so it does not decrease as k falls; IEEE addition
+/// and the grid's index/value (clamping included) are monotone, so neither
+/// does snap(t_P + U(k,l)); and max(·, C(k−1)) only raises a floor. Every
+/// candidate from k down therefore has both floors ≥ best, which the
+/// strict-improvement rule never accepts. Shared by FlatDpSolver's forward
+/// pass and reconstruction and by FreeBoundSolver, from the same float
+/// expressions as compute_transition.
+bool scan_ends(const Chain& chain, const Grid& load_grid,
+               const MadPipeDPOptions& options, int k, int l, int load_idx,
+               double best) {
+  const Seconds stage_load = chain.compute_load(k, l);
+  if (stage_load < best) return false;
+  return !options.allow_special ||
+         load_grid.snap(load_grid.value(load_idx) + stage_load,
+                        options.grid.rounding) >= best;
+}
+
 // ---------------------------------------------------------------------------
 // Fast path
 // ---------------------------------------------------------------------------
@@ -167,19 +192,19 @@ TransitionEntry compute_transition(const Chain& chain, const Platform& platform,
 class FlatDpSolver {
  public:
   FlatDpSolver(const Chain& chain, const Platform& platform, Seconds target,
-               const MadPipeDPOptions& options)
+               const MadPipeDPOptions& options, const MadPipeDPBound* bound)
       : chain_(chain),
         platform_(platform),
         target_(target),
         options_(options),
+        bound_(bound),
         load_grid_(chain.total_compute(), options.grid.load_points),
         memory_grid_(platform.memory_per_processor, options.grid.memory_points),
         delay_grid_(delay_upper_bound(chain, platform),
                     options.grid.delay_points),
         k_lo_(static_window_floors(chain, platform.memory_per_processor)),
-        row_offset_(static_cast<std::size_t>(chain.length() + 1) *
-                        static_cast<std::size_t>(options.grid.delay_points),
-                    kNoRow) {
+        rows_(static_cast<std::size_t>(chain.length() + 1) *
+              static_cast<std::size_t>(options.grid.delay_points)) {
     // reserve() (not the sizing constructor) so the avoided growth rehashes
     // are counted into the stats below.
     memo_.reserve(memo_size_heuristic());
@@ -219,6 +244,13 @@ class FlatDpSolver {
     double best = kInfinity;
   };
 
+  /// A transition row's arena slots, k = l down to l − width + 1.
+  struct Row {
+    std::uint32_t offset = 0;
+    std::uint32_t width = 0;  ///< 0 until the row is first used
+  };
+  static constexpr std::size_t kFirstRowWidth = 32;
+
   int root_processors() const {
     return options_.allow_special ? platform_.processors - 1
                                   : platform_.processors;
@@ -243,22 +275,16 @@ class FlatDpSolver {
   }
 
   /// compute_transition, cached per distinct (k, l, delay_idx) triple in a
-  /// dense row per (l, delay_idx): slots k = l down to k_lo(l), appended to
-  /// the arena on the row's first use and filled one slot at a time.
+  /// dense row per (l, delay_idx): slots k = l downward, filled one slot at
+  /// a time.
   TransitionEntry transition(int k, int l, int delay_idx) {
     ++stats_.transition_lookups;
-    std::uint32_t& row =
-        row_offset_[static_cast<std::size_t>(l) *
-                        static_cast<std::size_t>(options_.grid.delay_points) +
-                    static_cast<std::size_t>(delay_idx)];
-    if (row == kNoRow) {
-      const std::size_t width =
-          static_cast<std::size_t>(l - k_lo_[static_cast<std::size_t>(l)] + 1);
-      MP_ENSURE(arena_.size() + width < kNoRow, "transition arena overflow");
-      row = static_cast<std::uint32_t>(arena_.size());
-      arena_.resize(arena_.size() + width);
-    }
-    TransitionEntry& slot = arena_[row + static_cast<std::size_t>(l - k)];
+    Row& row = rows_[static_cast<std::size_t>(l) *
+                         static_cast<std::size_t>(options_.grid.delay_points) +
+                     static_cast<std::size_t>(delay_idx)];
+    const std::size_t index = static_cast<std::size_t>(l - k);
+    if (index >= row.width) grow_row(row, l, index);
+    TransitionEntry& slot = arena_[row.offset + index];
     if (slot.active_batches != 0) {
       ++stats_.transition_hits;
       return slot;
@@ -268,7 +294,38 @@ class FlatDpSolver {
     return slot;
   }
 
+  /// Rows grow on demand, doubling from kFirstRowWidth up to the static
+  /// window l − k_lo(l) + 1, so a scan that `scan_ends` cuts short never
+  /// pays for the slots below where it stopped (on LLM-depth chains the
+  /// window is the whole chain). A grown row moves to the arena's end; the
+  /// slots it leaves behind total less than its final width.
+  void grow_row(Row& row, int l, std::size_t index) {
+    const std::size_t window =
+        static_cast<std::size_t>(l - k_lo_[static_cast<std::size_t>(l)] + 1);
+    const std::size_t width = std::min(
+        window, std::max({index + 1, 2 * std::size_t{row.width},
+                          kFirstRowWidth}));
+    const std::size_t offset = arena_.size();
+    MP_ENSURE(offset + width < std::numeric_limits<std::uint32_t>::max(),
+              "transition arena overflow");
+    arena_.resize(offset + width);
+    std::copy_n(arena_.begin() + row.offset, row.width,
+                arena_.begin() + static_cast<std::ptrdiff_t>(offset));
+    row.offset = static_cast<std::uint32_t>(offset);
+    row.width = static_cast<std::uint32_t>(width);
+  }
+
   double base_l0(int load_idx) const { return load_grid_.value(load_idx); }
+
+  /// The bound-guided cut for a candidate whose floor is already below
+  /// `best`: its value max(floor, T(child)) is ≥ T_free(child), so once that
+  /// reaches `best` the strict-improvement rule cannot accept it. Base-case
+  /// children (l = 0 or p = 0) are cheap and never looked up; neither is the
+  /// table while `best` is still infinite.
+  bool bound_cuts(int l, int p, int load_idx, double best) const {
+    return bound_ != nullptr && l > 0 && p > 0 && best < kInfinity &&
+           bound_->at(l, p, load_idx) >= best;
+  }
 
   /// p == 0: all remaining layers become one stage on the special processor.
   double special_base(int l, int load_idx, int mem_idx, int delay_idx) const {
@@ -353,6 +410,10 @@ class FlatDpSolver {
     const Bytes limit = platform_.memory_per_processor;
     const int k_lo = k_lo_[static_cast<std::size_t>(f.l)];
     while (f.k >= k_lo) {
+      if (f.opt == 0 && scan_ends(chain_, load_grid_, options_, f.k, f.l,
+                                  f.load_idx, f.best)) {
+        break;
+      }
       const TransitionEntry e = transition(f.k, f.l, f.delay_idx);
 
       if (f.opt == 0) {
@@ -360,7 +421,12 @@ class FlatDpSolver {
         f.opt = 1;
         if (e.normal_memory <= limit) {
           const double floor = std::max(e.stage_load, e.link_load);
-          if (floor < f.best) {  // dominated candidates can never win
+          // Dominated candidates can never win, nor can those the T_free
+          // table cuts.
+          if (floor < f.best &&
+              bound_cuts(f.k - 1, f.p - 1, f.load_idx, f.best)) {
+            ++stats_.dp_bound_cuts;
+          } else if (floor < f.best) {
             const auto sub = child_value(f.k - 1, f.p - 1, f.load_idx,
                                          f.mem_idx, e.next_delay_idx);
             if (!sub.has_value()) {
@@ -379,12 +445,7 @@ class FlatDpSolver {
       const int k = f.k;
       f.opt = 0;
       --f.k;
-      if (!options_.allow_special) {
-        // Only normal stages exist and U(k,l) grows as k falls: once it
-        // reaches the incumbent nothing below can win.
-        if (e.stage_load >= f.best) break;
-        continue;
-      }
+      if (!options_.allow_special) continue;
       const Bytes special_memory =
           memory_grid_.value(f.mem_idx) + e.special_stage_memory;
       if (special_memory > limit) continue;
@@ -395,6 +456,10 @@ class FlatDpSolver {
       if (floor >= f.best) continue;
       const int next_load_idx =
           load_grid_.index(special_load, options_.grid.rounding);
+      if (bound_cuts(k - 1, f.p, next_load_idx, f.best)) {
+        ++stats_.dp_bound_cuts;
+        continue;
+      }
       const int next_mem_idx = memory_grid_.index(
           std::min(special_memory, limit), options_.grid.rounding);
       const auto sub = child_value(k - 1, f.p, next_load_idx, next_mem_idx,
@@ -434,7 +499,7 @@ class FlatDpSolver {
   void reconstruct(MadPipeDPResult& result) {
     // Walk the winning choices from the root. The memo only stores values,
     // so each step re-derives the argmin with the same candidate order,
-    // pruning and strict-improvement rule as the forward pass — every
+    // scan end, cuts and strict-improvement rule as the forward pass — every
     // lookup it needs is either memoized or a base case, and the transition
     // cache is shared, so this costs one candidate scan per stage.
     std::vector<Stage> stages_reversed;
@@ -460,10 +525,13 @@ class FlatDpSolver {
       int best_next_mem = mem_idx;
       int best_next_delay = delay_idx;
       for (int k = l; k >= k_lo_[static_cast<std::size_t>(l)]; --k) {
+        if (scan_ends(chain_, load_grid_, options_, k, l, load_idx, best)) {
+          break;
+        }
         const TransitionEntry e = transition(k, l, delay_idx);
         if (e.normal_memory <= limit) {
           const double floor = std::max(e.stage_load, e.link_load);
-          if (floor < best) {
+          if (floor < best && !bound_cuts(k - 1, p - 1, load_idx, best)) {
             const double sub =
                 lookup_value(k - 1, p - 1, load_idx, mem_idx,
                              e.next_delay_idx);
@@ -476,10 +544,7 @@ class FlatDpSolver {
             }
           }
         }
-        if (!options_.allow_special) {
-          if (e.stage_load >= best) break;
-          continue;
-        }
+        if (!options_.allow_special) continue;
         const Bytes special_memory =
             memory_grid_.value(mem_idx) + e.special_stage_memory;
         if (special_memory > limit) continue;
@@ -490,6 +555,7 @@ class FlatDpSolver {
         if (floor >= best) continue;
         const int next_load_idx =
             load_grid_.index(special_load, options_.grid.rounding);
+        if (bound_cuts(k - 1, p, next_load_idx, best)) continue;
         const int next_mem_idx = memory_grid_.index(
             std::min(special_memory, limit), options_.grid.rounding);
         const double sub = lookup_value(k - 1, p, next_load_idx,
@@ -545,15 +611,13 @@ class FlatDpSolver {
   const Platform& platform_;
   Seconds target_;
   MadPipeDPOptions options_;
+  const MadPipeDPBound* bound_;  ///< T_free table, or nullptr (no cuts)
   Grid load_grid_;
   Grid memory_grid_;
   Grid delay_grid_;
-  static constexpr std::uint32_t kNoRow =
-      std::numeric_limits<std::uint32_t>::max();
   std::vector<int> k_lo_;  ///< static_window_floors: scan floor per l
-  /// Arena offset of the transition row of (l, delay_idx), kNoRow until the
-  /// row is first used; index l · delay_points + delay_idx.
-  std::vector<std::uint32_t> row_offset_;
+  /// Index l · delay_points + delay_idx.
+  std::vector<Row> rows_;
   std::vector<TransitionEntry> arena_;
   util::FlatHash64<double> memo_;
   std::vector<Frame> stack_;
@@ -573,7 +637,9 @@ class FlatDpSolver {
 // neither m_P, V nor T̂, so the states are (l, p, load_idx). Each
 // constrained candidate is a relaxed candidate with the same floor whose
 // child differs only in the ignored coordinates, so by induction on l every
-// probe's period is ≥ T_free, whatever its target.
+// constrained state (l, p, t_P, m_P, V) is ≥ T_free(l, p, t_P), whatever the
+// target — the root (every probe's period) included. The memo therefore
+// becomes the bound table FlatDpSolver cuts with.
 class FreeBoundSolver {
  public:
   FreeBoundSolver(const Chain& chain, const Platform& platform,
@@ -598,6 +664,8 @@ class FreeBoundSolver {
                                                    : platform_.processors);
     bound.states = memo_.size();
     bound.state_budget_hit = budget_hit_;
+    // A truncated memo holds overestimates: no table.
+    if (!budget_hit_) bound.table = std::move(memo_);
     return bound;
   }
 
@@ -672,6 +740,10 @@ class FreeBoundSolver {
     }
     const int k_lo = k_lo_[static_cast<std::size_t>(f.l)];
     while (f.k >= k_lo) {
+      if (f.opt == 0 && scan_ends(chain_, load_grid_, options_, f.k, f.l,
+                                  f.load_idx, f.best)) {
+        break;
+      }
       const Seconds stage_load = chain_.compute_load(f.k, f.l);
       const Seconds link_load = link_load_[static_cast<std::size_t>(f.k)];
 
@@ -693,10 +765,7 @@ class FreeBoundSolver {
       const int k = f.k;
       f.opt = 0;
       --f.k;
-      if (!options_.allow_special) {
-        if (stage_load >= f.best) break;
-        continue;
-      }
+      if (!options_.allow_special) continue;
       const Seconds special_load =
           load_grid_.snap(load_grid_.value(f.load_idx) + stage_load,
                           options_.grid.rounding);
@@ -1517,9 +1586,15 @@ class ReferenceDpSolver {
 
 }  // namespace
 
+double MadPipeDPBound::at(int l, int p, int load_idx) const {
+  const double* value = table.find(pack_state(l, p, load_idx, 0, 0));
+  return value != nullptr ? *value : 0.0;
+}
+
 MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
                            Seconds target_period,
-                           const MadPipeDPOptions& options) {
+                           const MadPipeDPOptions& options,
+                           const MadPipeDPBound* bound) {
   platform.validate();
   MP_EXPECT(target_period > 0.0, "target period must be positive");
   MP_EXPECT(chain.length() <= 4095, "chain too long for the packed DP state");
@@ -1549,10 +1624,11 @@ MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
     WavefrontDpSolver solver(chain, platform, target_period, options);
     result = solver.run();
   } else {
-    FlatDpSolver solver(chain, platform, target_period, options);
+    FlatDpSolver solver(chain, platform, target_period, options, bound);
     result = solver.run();
   }
   span.arg("states", static_cast<long long>(result.states_visited));
+  span.arg("bound_cuts", result.stats.dp_bound_cuts);
   span.arg("budget_hit", result.state_budget_hit ? 1 : 0);
   return result;
 }

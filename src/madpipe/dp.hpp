@@ -15,7 +15,11 @@
 //
 // Continuous quantities are discretized on the grids of `Discretization`;
 // the recursion is memoized on packed state keys, so only reachable states
-// are ever evaluated.
+// are ever evaluated. Given the memory-free bound table of
+// `madpipe_dp_memory_free_bound`, the default engine also skips every
+// candidate whose child's T_free already reaches the incumbent; periods,
+// allocations and every memoized value are unchanged, only fewer states are
+// evaluated (DESIGN.md §7, "Monotone scan end and bound-guided cuts").
 #pragma once
 
 #include <optional>
@@ -25,6 +29,7 @@
 #include "core/platform.hpp"
 #include "madpipe/discretization.hpp"
 #include "madpipe/planner_stats.hpp"
+#include "util/flat_hash.hpp"
 
 namespace madpipe {
 
@@ -44,7 +49,9 @@ enum class DelayCommVariant {
 enum class DpEngine {
   /// Fast path (default): explicit work-stack iteration (no recursion-depth
   /// hazard at L = 4095), a flat open-addressing memo with 16-byte entries,
-  /// dense per-(l, delay) transition rows, and dominated-candidate pruning.
+  /// dense per-(l, delay) transition rows, dominated-candidate pruning, a
+  /// monotone end to each candidate scan, and (given a bound table) cuts on
+  /// the children's T_free.
   FlatIterative,
   /// The original recursive, std::unordered_map-memoized implementation;
   /// kept as the reference for equivalence testing.
@@ -94,25 +101,40 @@ struct MadPipeDPResult {
   PlannerStats stats;
 };
 
-/// Run MadPipe-DP with target period `target_period` (T̂ > 0).
-MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
-                           Seconds target_period,
-                           const MadPipeDPOptions& options = {});
-
 struct MadPipeDPBound {
   /// T_free; infinity when even the relaxed recurrence finds no allocation.
   /// A lower bound only when !state_budget_hit.
   Seconds period = 0.0;
   std::size_t states = 0;  ///< (l, p, t_P) states memoized
   /// max_states fired: unexplored states counted as infeasible, so `period`
-  /// may overestimate T_free and bounds nothing.
+  /// may overestimate T_free and bounds nothing; `table` is then empty.
   bool state_budget_hit = false;
+  /// T_free(l, p, t_P) of every state the relaxation memoized, keyed like
+  /// the DP memo with m_P = V = 0. Read-only after construction, so any
+  /// number of concurrent probes may share it.
+  util::FlatHash64<double> table;
+
+  /// T_free(l, p, load_idx); 0 (bounds nothing) for a state the relaxed
+  /// search never reached.
+  double at(int l, int p, int load_idx) const;
 };
+
+/// Run MadPipe-DP with target period `target_period` (T̂ > 0). `bound`, the
+/// result of `madpipe_dp_memory_free_bound` for the same chain, platform
+/// and options, lets the FlatIterative engine skip candidates its table
+/// proves cannot win; the other engines ignore it. A bound that hit its
+/// state budget has an empty table and cuts nothing. The period, allocation
+/// and `uses_special` are identical with and without it.
+MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,
+                           Seconds target_period,
+                           const MadPipeDPOptions& options = {},
+                           const MadPipeDPBound* bound = nullptr);
 
 /// T_free: the MadPipe-DP recurrence with every memory check dropped except
 /// the per-stage static window (weights + scratch ≤ M), on the same grids,
 /// rounding, floors and `allow_special` setting. It depends on neither m_P,
-/// V nor T̂, so one evaluation over (l, p, t_P) states is a lower bound on
+/// V nor T̂, so one evaluation over (l, p, t_P) states lower-bounds every
+/// constrained state (l, p, t_P, ·, ·) and, at the root,
 /// `madpipe_dp(chain, platform, T̂, options).period` for every T̂ and every
 /// engine. Not a probe: it adds nothing to any PlannerStats counter.
 MadPipeDPBound madpipe_dp_memory_free_bound(const Chain& chain,

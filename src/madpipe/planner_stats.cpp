@@ -21,6 +21,7 @@ void PlannerStats::absorb(const PlannerStats& other) noexcept {
   transition_lookups += other.transition_lookups;
   transition_hits += other.transition_hits;
   state_budget_hits += other.state_budget_hits;
+  dp_bound_cuts += other.dp_bound_cuts;
   phase1_probes += other.phase1_probes;
   phase2_probes += other.phase2_probes;
   phase1_speculative_probes += other.phase1_speculative_probes;
@@ -62,6 +63,8 @@ void PlannerStats::write_json(json::Writer& writer) const {
   writer.value(transition_hits);
   writer.key("state_budget_hits");
   writer.value(state_budget_hits);
+  writer.key("dp_bound_cuts");
+  writer.value(dp_bound_cuts);
   writer.key("phase1_probes");
   writer.value(phase1_probes);
   writer.key("phase2_probes");
@@ -107,6 +110,7 @@ void PlannerStats::publish() const {
     obs::Counter& transition_lookups;
     obs::Counter& transition_hits;
     obs::Counter& state_budget_hits;
+    obs::Counter& dp_bound_cuts;
     obs::Counter& phase1_probes;
     obs::Counter& phase2_probes;
     obs::Counter& phase1_speculative_probes;
@@ -148,6 +152,9 @@ void PlannerStats::publish() const {
                   "Transition-cache hits"),
         r.counter("madpipe_planner_state_budget_hits_total",
                   "DP probes that tripped max_states"),
+        r.counter("madpipe_planner_dp_bound_cuts_total",
+                  "DP candidates skipped because the child's memory-free "
+                  "bound reached the incumbent"),
         r.counter("madpipe_planner_phase1_probes_total",
                   "DP probes consumed by Algorithm 1"),
         r.counter("madpipe_planner_phase2_probes_total",
@@ -190,6 +197,7 @@ void PlannerStats::publish() const {
   metrics.transition_lookups.add(transition_lookups);
   metrics.transition_hits.add(transition_hits);
   metrics.state_budget_hits.add(state_budget_hits);
+  metrics.dp_bound_cuts.add(dp_bound_cuts);
   metrics.phase1_probes.add(phase1_probes);
   metrics.phase2_probes.add(phase2_probes);
   metrics.phase1_speculative_probes.add(phase1_speculative_probes);

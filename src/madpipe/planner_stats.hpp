@@ -35,6 +35,10 @@ struct PlannerStats {
   long long transition_lookups = 0;  ///< (k, l, delay) cache consultations
   long long transition_hits = 0;
   long long state_budget_hits = 0;   ///< DP probes that tripped max_states
+  /// Candidates whose floor was below the incumbent but whose child's
+  /// memory-free bound T_free already reached it, so the probe skipped them
+  /// (the bound-guided cut; 0 when a probe runs without the T_free table).
+  long long dp_bound_cuts = 0;
 
   // --- bisection searches ---
   long long phase1_probes = 0;  ///< DP probes consumed by Algorithm 1

@@ -27,8 +27,8 @@ std::uint64_t target_key(Seconds target) {
   return bits;
 }
 
-/// Speculative DP-probe runner for Algorithm 1, and keeper of the
-/// memory-free bound T_free that certifies the early stop.
+/// Speculative DP-probe runner for Algorithm 1. Every probe it launches,
+/// on whichever pool thread, reads the same frozen T_free table.
 ///
 /// The bisection consumes probe results strictly in sequence, but each
 /// iteration's *next* target is a deterministic function of the current
@@ -50,16 +50,16 @@ std::uint64_t target_key(Seconds target) {
 /// When the search may stop early, the first batch is the demanded probe
 /// alone: on every `plan_roomy` cell the first feasible probe moves ub to
 /// its own period, which neither predicted outcome expects, and the stop
-/// then usually ends the search. T_free is computed on first request, after
-/// a consumed probe, at every W.
+/// then usually ends the search.
 class ProbeRunner {
  public:
   ProbeRunner(const Chain& chain, const Platform& platform,
-              const Phase1Options& options, int iterations_left_at_start,
-              bool single_first_probe)
+              const Phase1Options& options, const MadPipeDPBound* bound,
+              int iterations_left_at_start, bool single_first_probe)
       : chain_(chain),
         platform_(platform),
         options_(options),
+        bound_(bound),
         width_(par::speculation_width(options.speculation)),
         budget_(iterations_left_at_start),
         single_first_probe_(single_first_probe) {}
@@ -78,15 +78,6 @@ class ProbeRunner {
     const auto it = cache_.find(key);
     MP_ENSURE(it != cache_.end(), "demanded probe missing from its batch");
     return it->second;
-  }
-
-  /// T_free, or nullopt when its state budget ran out (no bound).
-  std::optional<Seconds> period_bound() {
-    if (!bound_.has_value()) {
-      bound_ = madpipe_dp_memory_free_bound(chain_, platform_, options_.dp);
-    }
-    if (bound_->state_budget_hit) return std::nullopt;
-    return bound_->period;
   }
 
   const PlannerStats& stats() const noexcept { return stats_; }
@@ -134,8 +125,8 @@ class ProbeRunner {
     par::parallel_for(
         0, batch.size(),
         [&](std::size_t i) {
-          results[i] =
-              madpipe_dp(chain_, platform_, batch[i].target, options_.dp);
+          results[i] = madpipe_dp(chain_, platform_, batch[i].target,
+                                  options_.dp, bound_);
         },
         workers);
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -161,10 +152,10 @@ class ProbeRunner {
   const Chain& chain_;
   const Platform& platform_;
   const Phase1Options& options_;
+  const MadPipeDPBound* bound_;  ///< T_free table shared by every probe
   const int width_;
   const int budget_;
   const bool single_first_probe_;
-  std::optional<MadPipeDPBound> bound_;
   std::unordered_map<std::uint64_t, MadPipeDPResult> cache_;
   PlannerStats stats_;
 };
@@ -187,12 +178,23 @@ Phase1Result madpipe_phase1(const Chain& chain, const Platform& platform,
   Phase1Result result;
   result.period = std::numeric_limits<double>::infinity();
 
-  // Certified early stop (DESIGN.md §7): every iterate achieves at least
-  // T_free, and only a strictly smaller one replaces the incumbent, so once
-  // the incumbent reaches T_free the remaining probes cannot change the
-  // result. Callers that keep every iterate's allocation consume the rest.
-  const bool may_stop = !options.keep_iterate_allocations;
-  ProbeRunner runner(chain, platform, options, options.iterations, may_stop);
+  // T_free, evaluated once on this thread before the first probe: its table
+  // lets every probe skip candidates whose child's T_free already loses,
+  // and its root certifies the early stop (DESIGN.md §7). Frozen from here
+  // on, so concurrent probes read it without locks. A relaxation that hit
+  // its state budget bounds nothing: its table is empty and there is no
+  // stop.
+  const MadPipeDPBound bound =
+      madpipe_dp_memory_free_bound(chain, platform, options.dp);
+
+  // Certified early stop: every iterate achieves at least T_free, and only
+  // a strictly smaller one replaces the incumbent, so once the incumbent
+  // reaches T_free the remaining probes cannot change the result. Callers
+  // that keep every iterate's allocation consume the rest.
+  const bool may_stop =
+      !options.keep_iterate_allocations && !bound.state_budget_hit;
+  ProbeRunner runner(chain, platform, options, &bound, options.iterations,
+                     may_stop);
   bool early_stop = false;
 
   Seconds target = lb;
@@ -214,12 +216,10 @@ Phase1Result madpipe_phase1(const Chain& chain, const Platform& platform,
     lb = std::max(lb, std::min(dp.period, target));
     ub = std::min(ub, achieved);
     if (ub <= lb * (1.0 + 1e-9)) break;  // search interval collapsed
-    if (may_stop && i + 1 < options.iterations) {
-      const std::optional<Seconds> bound = runner.period_bound();
-      if (bound.has_value() && result.period <= *bound) {
-        early_stop = true;
-        break;
-      }
+    if (may_stop && i + 1 < options.iterations &&
+        result.period <= bound.period) {
+      early_stop = true;
+      break;
     }
     target = 0.5 * (lb + ub);
   }

@@ -7,13 +7,17 @@
 // Each iteration therefore tightens lb = max(lb, min(T, T̂)) and
 // ub = min(ub, max(T, T̂)) and probes the midpoint.
 //
-// Certified early stop: every iterate achieves at least T_free, the
-// memory-free bound of `madpipe_dp_memory_free_bound`, and only a strictly
-// smaller iterate replaces the incumbent. Once the incumbent reaches T_free
-// the search stops, so the trace is a prefix of the full K-probe trace and
-// the period, allocation and `uses_special` are bit-identical to it. The stop
-// is off with `keep_iterate_allocations`, whose callers consume later
-// iterates (DESIGN.md §7).
+// The memory-free bound T_free (`madpipe_dp_memory_free_bound`) is
+// evaluated once, before the first probe, and serves twice. Its table of
+// per-state bounds is handed read-only to every DP probe, which skips the
+// candidates it proves cannot win (same periods and allocations, fewer
+// states). Its root value certifies an early stop: every iterate achieves at
+// least T_free and only a strictly smaller iterate replaces the incumbent,
+// so once the incumbent reaches T_free the search stops. The trace is then
+// a prefix of the full K-probe trace and the period, allocation and
+// `uses_special` are bit-identical to it. The stop is off with
+// `keep_iterate_allocations`, whose callers consume later iterates, and
+// both uses are off when the bound hits its state budget (DESIGN.md §7).
 #pragma once
 
 #include <optional>

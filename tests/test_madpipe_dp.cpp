@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/memory_model.hpp"
+#include "madpipe/search.hpp"
+#include "models/zoo.hpp"
 #include "util/expect.hpp"
 
 namespace madpipe {
@@ -174,6 +179,112 @@ TEST(MadPipeDP, DelayVariantsBothProduceValidAllocations) {
     options.delay_comm_variant = variant;
     const auto result = madpipe_dp(c, p, c.total_compute() / 3, options);
     EXPECT_TRUE(result.allocation.has_value());
+  }
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(MadPipeDP, BoundGuidedProbeMatchesUnguided) {
+  // The T_free table only skips candidates that cannot beat the incumbent:
+  // at every target of the full K-probe search, the guided probe returns the
+  // unguided probe's period, allocation and special flag, and evaluates no
+  // more states. The first and last targets are also checked against the
+  // reference engine, which never prunes.
+  long long cuts = 0;
+  for (const std::string& name : models::list_networks()) {
+    const Chain chain = models::paper_network(name);
+    for (const int processors : {2, 4, 8}) {
+      for (const double memory_gb : {3.0, 5.0, 8.0, 16.0, 24.0}) {
+        const Platform platform{processors, memory_gb * GB, 12 * GB};
+        for (const bool allow_special : {true, false}) {
+          Phase1Options search;
+          search.dp.grid = Discretization::coarse();
+          search.dp.allow_special = allow_special;
+          search.keep_iterate_allocations = true;  // all K targets
+          search.speculation = 1;
+          const MadPipeDPBound bound =
+              madpipe_dp_memory_free_bound(chain, platform, search.dp);
+          ASSERT_FALSE(bound.state_budget_hit);
+          const Phase1Result full = madpipe_phase1(chain, platform, search);
+          for (std::size_t i = 0; i < full.trace.size(); ++i) {
+            const Seconds target = full.trace[i].target;
+            const std::string label =
+                name + " P=" + std::to_string(processors) +
+                " M=" + std::to_string(memory_gb) +
+                " special=" + std::to_string(allow_special) +
+                " target=" + std::to_string(target);
+            const MadPipeDPResult guided =
+                madpipe_dp(chain, platform, target, search.dp, &bound);
+            const MadPipeDPResult unguided =
+                madpipe_dp(chain, platform, target, search.dp);
+            EXPECT_EQ(bits(guided.period), bits(unguided.period)) << label;
+            ASSERT_EQ(guided.allocation.has_value(),
+                      unguided.allocation.has_value())
+                << label;
+            if (guided.allocation) {
+              EXPECT_TRUE(*guided.allocation == *unguided.allocation) << label;
+            }
+            EXPECT_EQ(guided.uses_special, unguided.uses_special) << label;
+            EXPECT_LE(guided.states_visited, unguided.states_visited) << label;
+            EXPECT_EQ(unguided.stats.dp_bound_cuts, 0) << label;
+            cuts += guided.stats.dp_bound_cuts;
+            if (i != 0 && i + 1 != full.trace.size()) continue;
+            MadPipeDPOptions reference_options = search.dp;
+            reference_options.engine = DpEngine::ReferenceRecursive;
+            const MadPipeDPResult reference =
+                madpipe_dp(chain, platform, target, reference_options, &bound);
+            EXPECT_EQ(bits(guided.period), bits(reference.period)) << label;
+            ASSERT_EQ(guided.allocation.has_value(),
+                      reference.allocation.has_value())
+                << label;
+            if (guided.allocation) {
+              EXPECT_TRUE(*guided.allocation == *reference.allocation)
+                  << label;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cuts, 0);  // the grid must exercise the cut
+}
+
+TEST(MadPipeDP, ScanEndKeepsEveryState) {
+  // The monotone scan end skips only candidates whose floors already reach
+  // the incumbent, which pushed no child before it either: a probe without
+  // the T_free table memoizes exactly the states it did before the scan end
+  // existed. The counts were taken from that earlier engine.
+  struct Cell {
+    const char* network;
+    int layers;
+    int processors;
+    double memory_gb;
+    double target_factor;  ///< target = factor · U(1,L) / P
+    bool allow_special;
+    std::size_t states;
+  };
+  const Cell cells[] = {
+      {"gpt2-xl", 48, 8, 20.0, 1.0, true, 37206},
+      {"resnet50", 0, 8, 5.0, 2.0, true, 10436},
+      {"densenet121", 24, 4, 7.0, 1.0, true, 8700},
+      {"gpt2-xl", 48, 8, 20.0, 1.0, false, 744},
+  };
+  for (const Cell& cell : cells) {
+    models::NetworkConfig config;
+    config.network = cell.network;
+    config.chain_length = cell.layers;
+    const Chain chain = models::build_network(config);
+    const Platform platform{cell.processors, cell.memory_gb * GB, 12 * GB};
+    MadPipeDPOptions options;
+    options.grid = Discretization::coarse();
+    options.allow_special = cell.allow_special;
+    const MadPipeDPResult result = madpipe_dp(
+        chain, platform,
+        cell.target_factor * chain.total_compute() / cell.processors, options);
+    EXPECT_TRUE(result.allocation.has_value()) << cell.network;
+    EXPECT_EQ(result.states_visited, cell.states)
+        << cell.network << " P=" << cell.processors << " special="
+        << cell.allow_special;
   }
 }
 

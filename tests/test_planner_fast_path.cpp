@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "core/memory_model.hpp"
 #include "madpipe/dp.hpp"
@@ -132,11 +133,24 @@ TEST(PlannerFastPath, PlanInvariantInSpeculationAndWorkers) {
 
   const auto baseline = plan_with(1, 1);
   ASSERT_TRUE(baseline.has_value());
-  for (const int speculation : {2, 4}) {
+  for (const int speculation : {1, 2, 4}) {
+    std::optional<Plan> one_worker;
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
       const auto plan = plan_with(speculation, workers);
       ASSERT_TRUE(plan.has_value())
           << "W=" << speculation << " workers=" << workers;
+      // W fixes the launched probes and each probe's states and cuts (the
+      // T_free table is built before any of them), whatever thread runs it.
+      if (!one_worker) one_worker = plan;
+      EXPECT_EQ(plan->stats.dp_probes, one_worker->stats.dp_probes);
+      EXPECT_EQ(plan->stats.dp_states, one_worker->stats.dp_states)
+          << "W=" << speculation << " workers=" << workers;
+      EXPECT_EQ(plan->stats.dp_bound_cuts, one_worker->stats.dp_bound_cuts)
+          << "W=" << speculation << " workers=" << workers;
+      if (plan->stats.dp_probes == 1) {
+        EXPECT_EQ(plan->stats.dp_states, baseline->stats.dp_states);
+        EXPECT_EQ(plan->stats.dp_bound_cuts, baseline->stats.dp_bound_cuts);
+      }
       EXPECT_EQ(plan->period(), baseline->period())
           << "W=" << speculation << " workers=" << workers;
       EXPECT_EQ(plan->phase1_period, baseline->phase1_period);
@@ -164,6 +178,7 @@ TEST(PlannerFastPath, PlanInvariantInSpeculationAndWorkers) {
     }
   }
   EXPECT_EQ(baseline->stats.phase1_early_stops, memory_gb > 8.0 ? 1 : 0);
+  EXPECT_GT(baseline->stats.dp_bound_cuts, 0);
   }
 }
 
@@ -191,11 +206,31 @@ TEST(PlannerFastPath, Phase1DeterministicAcrossWorkerCounts) {
       EXPECT_EQ(sequential.stats.phase1_early_stops, 1);
     }
     for (const int speculation : {1, 2, 4}) {
+      std::optional<PlannerStats> one_worker;
       for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
         const Phase1Result speculated = phase1_with(speculation, workers);
         const std::string label = "M=" + std::to_string(memory_gb) +
                                   " W=" + std::to_string(speculation) +
                                   " workers=" + std::to_string(workers);
+        // The launched probes depend on W alone, and each one's states and
+        // cuts on nothing else: at W > 1 with 4 workers, concurrent probes
+        // read the one shared T_free table.
+        if (!one_worker) one_worker = speculated.stats;
+        EXPECT_EQ(speculated.stats.dp_probes, one_worker->dp_probes) << label;
+        EXPECT_EQ(speculated.stats.dp_states, one_worker->dp_states) << label;
+        EXPECT_EQ(speculated.stats.dp_bound_cuts, one_worker->dp_bound_cuts)
+            << label;
+        if (speculated.stats.dp_probes == 1) {
+          EXPECT_EQ(speculated.stats.dp_states, sequential.stats.dp_states)
+              << label;
+          EXPECT_EQ(speculated.stats.dp_bound_cuts,
+                    sequential.stats.dp_bound_cuts)
+              << label;
+        }
+        if (memory_gb == 2.0 && speculation > 1) {
+          EXPECT_GT(speculated.stats.phase1_speculative_probes, 0) << label;
+          EXPECT_GT(speculated.stats.dp_bound_cuts, 0) << label;
+        }
         EXPECT_EQ(speculated.period, sequential.period) << label;
         ASSERT_EQ(speculated.feasible(), sequential.feasible()) << label;
         if (sequential.feasible()) {

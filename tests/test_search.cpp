@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -259,6 +260,41 @@ TEST(Phase1, MemoryFreeBoundReportsItsStateBudget) {
   options.dp.max_states = 4;
   const Phase1Result result = madpipe_phase1(chain, platform, options);
   EXPECT_EQ(result.stats.phase1_early_stops, 0);
+  EXPECT_EQ(result.stats.dp_bound_cuts, 0);
+
+  // Heavy activations keep every probe small while the relaxation, which
+  // ignores them, needs more states: a budget between the two trips only
+  // the relaxation. Its table is then dropped, so the probes run without
+  // cuts and the search without its stop, and the plan stays the same.
+  const Chain heavy = make_uniform_chain(16, ms(2), ms(4), 5 * MB,
+                                         200 * MB, MB);
+  const Platform small{2, 2 * GB, 12 * GB};
+  Phase1Options heavy_options = quick_options();
+  heavy_options.speculation = 1;
+  const Phase1Result guided = madpipe_phase1(heavy, small, heavy_options);
+  ASSERT_TRUE(guided.feasible());
+  ASSERT_GT(guided.stats.dp_bound_cuts, 0);
+  const Phase1Result full = full_search(heavy, small, heavy_options);
+  std::size_t probe_states = 0;
+  for (const Phase1Iteration& iterate : full.trace) {
+    probe_states = std::max(
+        probe_states,
+        madpipe_dp(heavy, small, iterate.target, heavy_options.dp)
+            .states_visited);
+  }
+  heavy_options.dp.max_states = probe_states;
+  ASSERT_TRUE(madpipe_dp_memory_free_bound(heavy, small, heavy_options.dp)
+                  .state_budget_hit);
+
+  const Phase1Result unguided = madpipe_phase1(heavy, small, heavy_options);
+  EXPECT_EQ(unguided.stats.state_budget_hits, 0);
+  EXPECT_EQ(unguided.stats.dp_bound_cuts, 0);
+  EXPECT_EQ(unguided.stats.phase1_early_stops, 0);
+  EXPECT_EQ(unguided.trace.size(), full.trace.size());
+  EXPECT_EQ(bits(unguided.period), bits(guided.period));
+  ASSERT_TRUE(unguided.feasible());
+  EXPECT_TRUE(*unguided.allocation == *guided.allocation);
+  EXPECT_EQ(unguided.uses_special, guided.uses_special);
 }
 
 }  // namespace

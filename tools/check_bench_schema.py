@@ -79,6 +79,9 @@ OPTIONAL_STATS_FIELDS = {
     # Absent from documents written before phase 1 could stop early on the
     # memory-free bound.
     "phase1_early_stops": int,
+    # Absent from documents written before the DP cut candidates with the
+    # memory-free bound table.
+    "dp_bound_cuts": int,
 }
 
 STATS_FIELDS = {
@@ -373,6 +376,9 @@ def check_planner_document(doc, path):
             # A stats block covers one planner run: at most one phase-1
             # search, and none for a bare DP probe (phase1_probes == 0).
             plans = 1 if record["stats"]["phase1_probes"] > 0 else 0
+            if record["stats"].get("dp_bound_cuts", 0) < 0:
+                fail(f"{where} stats: dp_bound_cuts "
+                     f"{record['stats']['dp_bound_cuts']} is negative")
             if "phase1_early_stops" in present and not (
                     0 <= record["stats"]["phase1_early_stops"] <= plans):
                 fail(f"{where} stats: phase1_early_stops "

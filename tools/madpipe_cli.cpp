@@ -767,9 +767,9 @@ int cmd_planner(const Args& args) {
                         static_cast<double>(stats.transition_lookups)
                   : 0.0);
   std::printf("  phase 1 spec.      %lld extra probes, %lld hits, "
-              "%lld early stops\n",
+              "%lld early stops, %lld bound cuts\n",
               stats.phase1_speculative_probes, stats.phase1_speculative_hits,
-              stats.phase1_early_stops);
+              stats.phase1_early_stops, stats.dp_bound_cuts);
   std::printf("  phase 2 probes     %lld (%lld hit the node budget)\n",
               stats.phase2_probes, stats.phase2_budget_hits);
   std::printf("  phase 2 spec.      %lld extra probes, %lld hits, "
