@@ -22,7 +22,7 @@
 //                                    --smoke = minimal iteration counts)
 //
 // Floors (≥100k hits/s) live in tools/check_bench_schema.py and are gated on
-// the recorded hardware_threads, like the planner bench's parallel_scaling.
+// the recorded hardware_threads, like the planner bench's serve-hit floor.
 #include <unistd.h>
 
 #include <algorithm>

@@ -239,64 +239,6 @@ WorkloadRecord bench_dp_probe(const std::string& name, const Chain& chain,
   return record;
 }
 
-/// One thread count of the wavefront-DP scaling table.
-struct ScalingPoint {
-  int threads = 1;
-  double dp_probe_seconds = 0.0;
-  double speedup = 1.0;  ///< vs the 1-thread point of the same workload
-  bool feasible = false;
-  double period = 0.0;
-  std::string allocation;
-  long long dp_states = 0;
-};
-
-struct ScalingRecord {
-  std::string name;
-  std::vector<ScalingPoint> points;
-};
-
-/// Time one DP probe on the wavefront engine at 1/2/4/8 shards. The period
-/// and allocation land in every point so the schema checker can assert they
-/// are bit-identical across thread counts; speedups are only meaningful
-/// when the host has that many hardware threads (the checker gates on the
-/// recorded hardware_threads).
-ScalingRecord bench_parallel_scaling(const std::string& name,
-                                     const Chain& chain,
-                                     const Platform& platform, Seconds target,
-                                     MadPipeDPOptions options,
-                                     double min_seconds) {
-  options.engine = DpEngine::ParallelWavefront;
-  ScalingRecord record;
-  record.name = name;
-  for (const int threads : {1, 2, 4, 8}) {
-    options.threads = threads;
-    WorkloadRecord timing;
-    timing.name = name + "_t" + std::to_string(threads);
-    MadPipeDPResult last;
-    time_workload(timing, min_seconds, [&] {
-      last = madpipe_dp(chain, platform, target, options);
-    });
-    ScalingPoint point;
-    point.threads = threads;
-    point.dp_probe_seconds = timing.per_solve_seconds;
-    point.dp_states = static_cast<long long>(last.states_visited);
-    if (last.allocation.has_value()) {
-      point.feasible = true;
-      point.period = last.period;
-      point.allocation = allocation_fingerprint(*last.allocation);
-    }
-    point.speedup = record.points.empty()
-                        ? 1.0
-                        : record.points.front().dp_probe_seconds /
-                              point.dp_probe_seconds;
-    std::printf("%-28s %9.3f ms/probe  x%.2f vs 1 thread\n",
-                timing.name.c_str(), point.dp_probe_seconds * 1e3,
-                point.speedup);
-    record.points.push_back(std::move(point));
-  }
-  return record;
-}
-
 /// The LLM-scale record (ISSUE 9): the DP must complete a ≥2000-layer
 /// transformer preset at P = 64 within the state budget. One full-depth DP
 /// probe demonstrates that; a coarsened end-to-end plan (one stage per GPU)
@@ -425,7 +367,6 @@ LlmScaleRecord bench_llm_scale(const MadPipeOptions& plan_options) {
 
 void write_json(const std::string& path,
                 const std::vector<WorkloadRecord>& records,
-                const std::vector<ScalingRecord>& scaling,
                 const LlmScaleRecord& llm,
                 const bench::SpanOverhead& overhead, bool trace_armed,
                 const std::map<std::string, double>& baseline) {
@@ -488,35 +429,6 @@ void write_json(const std::string& path,
     w.end_object();
   }
   w.end_array();
-  w.key("parallel_scaling");
-  w.begin_object();
-  // Speedup expectations only bind when the host can actually run the
-  // shards concurrently; the checker reads this field to decide.
-  w.key("hardware_threads");
-  w.value(static_cast<long long>(par::default_workers()));
-  w.key("workloads");
-  w.begin_array();
-  for (const ScalingRecord& record : scaling) {
-    w.begin_object();
-    w.key("name"); w.value(record.name);
-    w.key("points");
-    w.begin_array();
-    for (const ScalingPoint& point : record.points) {
-      w.begin_object();
-      w.key("threads"); w.value(static_cast<long long>(point.threads));
-      w.key("dp_probe_seconds"); w.value(point.dp_probe_seconds);
-      w.key("speedup"); w.value(point.speedup);
-      w.key("feasible"); w.value(point.feasible);
-      w.key("period"); w.value(point.period);
-      w.key("allocation"); w.value(point.allocation);
-      w.key("dp_states"); w.value(point.dp_states);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
   w.key("llm_scale");
   w.begin_object();
   w.key("hardware_threads");
@@ -599,18 +511,11 @@ int main(int argc, char** argv) {
   records.push_back(bench_dp_probe("dp_resnet101_24_p4_m8", r101, p4,
                                    r101.total_compute() / 4,
                                    plan_options.phase1.dp, min_seconds));
-  std::vector<ScalingRecord> scaling;
-  scaling.push_back(bench_parallel_scaling(
-      "scale_resnet50_p4_m8", r50, p4, r50.total_compute() / 4,
-      plan_options.phase1.dp, min_seconds));
-  scaling.push_back(bench_parallel_scaling(
-      "scale_resnet101_24_p8_m16", r101, Platform{8, 16 * GB, 12 * GB},
-      r101.total_compute() / 8, plan_options.phase1.dp, min_seconds));
   const LlmScaleRecord llm = bench_llm_scale(plan_options);
   const std::map<std::string, double> baseline =
       baseline_path.empty() ? std::map<std::string, double>{}
                             : load_baseline(baseline_path);
-  write_json(output, records, scaling, llm, overhead, obs::trace_enabled(),
+  write_json(output, records, llm, overhead, obs::trace_enabled(),
              baseline);
   sinks.flush();
   return 0;

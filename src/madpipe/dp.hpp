@@ -20,6 +20,8 @@
 // candidate whose child's T_free already reaches the incumbent; periods,
 // allocations and every memoized value are unchanged, only fewer states are
 // evaluated (DESIGN.md §7, "Monotone scan end and bound-guided cuts").
+// Two engines (`DpEngine`) evaluate the recurrence: the iterative default
+// and the recursive reference oracle it is tested against.
 #pragma once
 
 #include <optional>
@@ -56,15 +58,6 @@ enum class DpEngine {
   /// The original recursive, std::unordered_map-memoized implementation;
   /// kept as the reference for equivalence testing.
   ReferenceRecursive,
-  /// Wavefront engine: states are grouped into per-layer structure-of-arrays
-  /// slabs (all transitions strictly decrease l, so layer L's slab is final
-  /// before layer L−1 is expanded); each wavefront is expanded by
-  /// `MadPipeDPOptions::threads` shards on the shared thread pool, with
-  /// per-shard emission buffers merged deterministically at the barrier.
-  /// Periods, allocations and states are bit-identical across thread counts
-  /// and identical in period/allocation to the other two engines
-  /// (DESIGN.md §11).
-  ParallelWavefront,
 };
 
 struct MadPipeDPOptions {
@@ -78,11 +71,6 @@ struct MadPipeDPOptions {
   /// Abort (treat as infeasible) past this many memoized states; a safety
   /// valve for extreme grids, never hit with the presets.
   std::size_t max_states = 80'000'000;
-  /// Shard count for the wavefront engine. Values > 1 route FlatIterative
-  /// probes to DpEngine::ParallelWavefront. Shards — not pool threads —
-  /// define the work decomposition, so results are bit-identical whatever
-  /// the pool actually runs them on (including serially).
-  int threads = 1;
 };
 
 struct MadPipeDPResult {
@@ -122,7 +110,7 @@ struct MadPipeDPBound {
 /// Run MadPipe-DP with target period `target_period` (T̂ > 0). `bound`, the
 /// result of `madpipe_dp_memory_free_bound` for the same chain, platform
 /// and options, lets the FlatIterative engine skip candidates its table
-/// proves cannot win; the other engines ignore it. A bound that hit its
+/// proves cannot win; the reference engine ignores it. A bound that hit its
 /// state budget has an empty table and cuts nothing. The period, allocation
 /// and `uses_special` are identical with and without it.
 MadPipeDPResult madpipe_dp(const Chain& chain, const Platform& platform,

@@ -135,6 +135,11 @@ struct NetServer::Impl {
   // Completion queue: workers / planner threads → loop thread.
   std::mutex completion_mutex;
   std::vector<Completion> completions;
+  /// push_completion calls between queueing and the end of their wake():
+  /// the loop may flush the response, and stop() return, before the wake
+  /// lands, so stop() waits for this to reach 0 before the loop's eventfd
+  /// can close.
+  std::atomic<int> waking{0};
 
   // Connection state: loop thread only.
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> by_id;
@@ -173,11 +178,13 @@ struct NetServer::Impl {
 
   void push_completion(std::uint64_t conn, std::uint64_t seq,
                        std::string line) {
+    ++waking;
     {
       const std::lock_guard<std::mutex> lock(completion_mutex);
       completions.push_back(Completion{conn, seq, std::move(line)});
     }
     loop.wake();
+    --waking;
   }
 
   void dispatch_loop() {
@@ -615,6 +622,9 @@ struct NetServer::Impl {
     // completed and flushed. Join it first; the workers are done by then.
     loop_thread.join();
     for (std::thread& worker : dispatchers) worker.join();
+    while (waking != 0) {
+      std::this_thread::yield();
+    }
   }
 };
 

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "obs/tail_sampler.hpp"
@@ -24,6 +25,19 @@ void refresh_hit_rate() {
   if (requests <= 0) return;
   metrics.hit_rate.set(static_cast<double>(metrics.hits.value()) /
                        static_cast<double>(requests));
+}
+
+std::atomic<bool> g_workers_held{false};
+std::mutex g_hold_mutex;  ///< guards g_held_workers and the release wait
+std::condition_variable g_hold_released;
+int g_held_workers = 0;
+
+void wait_while_workers_held() {
+  if (!g_workers_held) return;
+  std::unique_lock<std::mutex> lock(g_hold_mutex);
+  ++g_held_workers;
+  g_hold_released.wait(lock, [] { return !g_workers_held; });
+  --g_held_workers;
 }
 }  // namespace
 
@@ -309,6 +323,7 @@ void PlanService::worker_loop() {
       queue_.pop_front();
       serve_metrics().queue_depth.set(static_cast<double>(queue_.size()));
     }
+    wait_while_workers_held();
     run_job(*job);
   }
 }
@@ -520,5 +535,27 @@ ServeStats PlanService::stats() const {
   snapshot.miss_p99_seconds = miss_latency_.percentile(0.99);
   return snapshot;
 }
+
+namespace detail {
+
+void hold_workers() noexcept {
+  const std::lock_guard<std::mutex> lock(g_hold_mutex);
+  g_workers_held = true;
+}
+
+void release_workers() noexcept {
+  {
+    const std::lock_guard<std::mutex> lock(g_hold_mutex);
+    g_workers_held = false;
+  }
+  g_hold_released.notify_all();
+}
+
+int held_worker_count() noexcept {
+  const std::lock_guard<std::mutex> lock(g_hold_mutex);
+  return g_held_workers;
+}
+
+}  // namespace detail
 
 }  // namespace madpipe::serve

@@ -219,4 +219,17 @@ class PlanService {
   LatencyRecorder miss_latency_;
 };
 
+namespace detail {
+
+/// Test hooks that pin the queue: while held, every PlanService worker
+/// that has taken a job off its queue waits before running it, so a backlog
+/// stands until the test releases the hold. Process-wide and off by
+/// default, where each job pays one atomic load.
+void hold_workers() noexcept;
+void release_workers() noexcept;
+/// Workers currently waiting in the hold, each with its job off the queue.
+int held_worker_count() noexcept;
+
+}  // namespace detail
+
 }  // namespace madpipe::serve

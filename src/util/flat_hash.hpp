@@ -10,7 +10,7 @@
 // so probe sequences stay short no matter how many entries churn.
 //
 // One key value (~0, kEmptyKey) is reserved to mark empty slots; the DP's
-// packed states use at most 44 bits, so the sentinel is never a real key.
+// packed states use at most 49 bits, so the sentinel is never a real key.
 #pragma once
 
 #include <algorithm>
@@ -174,69 +174,6 @@ class FlatHash64 {
   std::size_t size_ = 0;
   std::size_t rehashes_ = 0;
   std::size_t rehashes_avoided_ = 0;
-};
-
-/// Append-only, insertion-ordered 64-bit key set with O(1) membership.
-///
-/// The DP wavefront slabs use it to dedup states emitted by concurrent
-/// shards while keeping a stable enumeration order: appending per-shard
-/// emission buffers in shard order reproduces the serial emission sequence
-/// for any shard count (shards are contiguous ranges of the parent slab),
-/// so the set's key order — and therefore every index stored in it — is
-/// independent of how many threads produced the buffers.
-class IndexedKeySet64 {
- public:
-  explicit IndexedKeySet64(std::size_t expected = 0) : index_(expected) {
-    keys_.reserve(expected);
-  }
-
-  std::size_t size() const noexcept { return keys_.size(); }
-  bool empty() const noexcept { return keys_.empty(); }
-  const std::vector<std::uint64_t>& keys() const noexcept { return keys_; }
-  std::uint64_t key_at(std::size_t i) const noexcept { return keys_[i]; }
-  double load_factor() const noexcept { return index_.load_factor(); }
-  std::size_t rehashes() const noexcept { return index_.rehashes(); }
-  std::size_t rehashes_avoided() const noexcept {
-    return index_.rehashes_avoided();
-  }
-
-  void reserve(std::size_t expected) {
-    index_.reserve(expected);
-    keys_.reserve(expected);
-  }
-
-  /// Index of `key` in insertion order, or −1 when absent.
-  std::int32_t find(std::uint64_t key) const noexcept {
-    const std::int32_t* idx = index_.find(key);
-    return idx ? *idx : -1;
-  }
-
-  /// Insert if absent; returns {insertion index, whether it was new}.
-  std::pair<std::int32_t, bool> insert(std::uint64_t key) {
-    const auto [slot, inserted] =
-        index_.emplace(key, static_cast<std::int32_t>(keys_.size()));
-    if (inserted) keys_.push_back(key);
-    return {*slot, inserted};
-  }
-
-  /// Append the keys of [begin, end) in order, skipping ones already
-  /// present, refusing to grow past `cap` total keys. Returns false iff the
-  /// cap truncated the merge (a *new* key was dropped — duplicates past the
-  /// cap do not count as truncation).
-  bool merge_shard(const std::uint64_t* begin, const std::uint64_t* end,
-                   std::size_t cap) {
-    for (const std::uint64_t* it = begin; it != end; ++it) {
-      if (index_.find(*it) != nullptr) continue;
-      if (keys_.size() >= cap) return false;
-      index_.emplace(*it, static_cast<std::int32_t>(keys_.size()));
-      keys_.push_back(*it);
-    }
-    return true;
-  }
-
- private:
-  std::vector<std::uint64_t> keys_;
-  FlatHash64<std::int32_t> index_;
 };
 
 }  // namespace madpipe::util

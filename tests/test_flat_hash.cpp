@@ -103,45 +103,6 @@ TEST(FlatHash, CountsRehashesAndAvoidedRehashes) {
   EXPECT_GT(late.rehashes_avoided(), 0u);
 }
 
-TEST(FlatHash, IndexedKeySetInsertionOrderAndLookup) {
-  IndexedKeySet64 set;
-  EXPECT_TRUE(set.empty());
-  EXPECT_EQ(set.find(5), -1);
-  EXPECT_EQ(set.insert(5), (std::pair<std::int32_t, bool>{0, true}));
-  EXPECT_EQ(set.insert(9), (std::pair<std::int32_t, bool>{1, true}));
-  EXPECT_EQ(set.insert(5), (std::pair<std::int32_t, bool>{0, false}));
-  EXPECT_EQ(set.insert(2), (std::pair<std::int32_t, bool>{2, true}));
-  EXPECT_EQ(set.size(), 3u);
-  EXPECT_EQ(set.find(9), 1);
-  EXPECT_EQ(set.key_at(2), 2u);
-  const std::vector<std::uint64_t> expected{5, 9, 2};
-  EXPECT_EQ(set.keys(), expected);
-}
-
-TEST(FlatHash, IndexedKeySetMergeShardDedupsInOrder) {
-  IndexedKeySet64 set;
-  set.insert(10);
-  const std::vector<std::uint64_t> a{11, 10, 12, 11};
-  const std::vector<std::uint64_t> b{12, 13, 10, 14};
-  EXPECT_TRUE(set.merge_shard(a.data(), a.data() + a.size(), 100));
-  EXPECT_TRUE(set.merge_shard(b.data(), b.data() + b.size(), 100));
-  const std::vector<std::uint64_t> expected{10, 11, 12, 13, 14};
-  EXPECT_EQ(set.keys(), expected);
-}
-
-TEST(FlatHash, IndexedKeySetMergeShardHonorsCap) {
-  IndexedKeySet64 set;
-  const std::vector<std::uint64_t> keys{1, 2, 3, 4, 5};
-  EXPECT_FALSE(set.merge_shard(keys.data(), keys.data() + keys.size(), 3));
-  EXPECT_EQ(set.size(), 3u);
-  const std::vector<std::uint64_t> expected{1, 2, 3};
-  EXPECT_EQ(set.keys(), expected);
-  // Duplicates past the cap are not truncation.
-  const std::vector<std::uint64_t> dups{3, 2, 1};
-  EXPECT_TRUE(set.merge_shard(dups.data(), dups.data() + dups.size(), 3));
-  EXPECT_EQ(set.size(), 3u);
-}
-
 TEST(FlatHash, ClearEmptiesButKeepsCapacity) {
   FlatHash64<int> table;
   for (std::uint64_t key = 1; key <= 100; ++key) table.emplace(key, 1);

@@ -288,6 +288,52 @@ TEST(MadPipeDP, ScanEndKeepsEveryState) {
   }
 }
 
+TEST(MadPipeDP, SixtyFourGpusWithoutSpecialStageUsesAllSevenProcessorBits) {
+  // With the special stage disabled the root state carries p = P itself, so
+  // P = 64 needs the seventh bit of the packed processor field (planner
+  // phase 1 always runs with allow_special = false). A 6-bit field would
+  // alias the root onto (l + 1, p = 0).
+  const Chain chain =
+      make_uniform_chain(96, ms(2), ms(4), 32 * MB, 8 * MB, MB, "wide");
+  const Platform platform{64, 4 * GB, 12 * GB};
+  const Seconds target = chain.total_compute() / 64;
+
+  MadPipeDPOptions options;
+  options.grid = Discretization::coarse();
+  options.allow_special = false;
+  options.engine = DpEngine::ReferenceRecursive;
+  const auto reference = madpipe_dp(chain, platform, target, options);
+  ASSERT_TRUE(reference.allocation.has_value());
+
+  options.engine = DpEngine::FlatIterative;
+  const auto flat = madpipe_dp(chain, platform, target, options);
+  EXPECT_EQ(flat.period, reference.period);  // bitwise, not approximate
+  ASSERT_TRUE(flat.allocation.has_value());
+  EXPECT_TRUE(*flat.allocation == *reference.allocation);
+  EXPECT_FALSE(flat.uses_special);
+}
+
+TEST(MadPipeDP, LlmScaleChainAtSixtyFourGpus) {
+  // The packed-state budget extends to L >= 2000, P = 64 (transformer
+  // presets linearize to 2050 layers). A uniform 2048-layer chain with
+  // weights tight against the per-GPU limit keeps the candidate scan short
+  // (stage_static_memory_exceeds ends it at ~128 layers/stage), while
+  // exercising the full 12-bit layer / 7-bit processor packing.
+  const Chain chain =
+      make_uniform_chain(2048, ms(2), ms(4), 16 * MB, 4 * MB, MB, "llm");
+  const Platform platform{64, 2 * GB, 12 * GB};
+  MadPipeDPOptions options;
+  options.grid = Discretization::coarse();
+  const auto flat =
+      madpipe_dp(chain, platform, chain.total_compute() / 64, options);
+  EXPECT_FALSE(flat.state_budget_hit);
+  EXPECT_GT(flat.states_visited, 0u);
+  ASSERT_TRUE(flat.allocation.has_value());
+  const Partitioning& parts = flat.allocation->partitioning();
+  EXPECT_EQ(parts.stage(0).first, 1);
+  EXPECT_EQ(parts.stage(parts.num_stages() - 1).last, chain.length());
+}
+
 TEST(MadPipeDpBudget, ExhaustedBudgetWarnsOncePerEngineAcrossThreads) {
   // Regression: the state-budget warning used to be a plain per-call bool,
   // so concurrent probes (speculative bisection, serve workers) spammed one

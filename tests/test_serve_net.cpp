@@ -325,21 +325,35 @@ TEST(ServeNet, ServiceBacklogShedsByQueueDepth) {
   ServiceOptions service_options;
   service_options.workers = 1;
   Harness h(options, service_options);
+  // Declared after the harness so the worker is released before the
+  // service joins it, whichever assertion returns early.
+  struct WorkerHold {
+    WorkerHold() { detail::hold_workers(); }
+    ~WorkerHold() { detail::release_workers(); }
+  } hold;
   Client client(h.server.port());
   ASSERT_TRUE(client.ok());
+  const auto wait_for = [](const auto& done) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+  };
 
-  // A occupies the single worker (~150 ms), B queues behind it.
+  // The single worker takes A off the queue and is held there. B, sent
+  // only then, finds the queue empty, is admitted and queues behind A.
   ASSERT_TRUE(client.send(slow_frame("slow-a", 16)));
+  wait_for([] { return detail::held_worker_count() >= 1; });
   ASSERT_TRUE(client.send(slow_frame("slow-b", 17)));
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (h.service.queue_depth() < 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
+  wait_for([&] { return h.service.queue_depth() >= 1; });
   ASSERT_GE(h.service.queue_depth(), 1u) << "backlog never formed";
 
-  // C arrives while the backlog stands: admission control sheds it.
+  // C arrives while the backlog stands: admission control sheds it. The
+  // worker stays held until the shed is counted, so the backlog cannot
+  // drain first however fast the plans are.
   ASSERT_TRUE(client.send(fast_frame("shed-c")));
+  wait_for([&] { return h.server.stats().shed_depth >= 1; });
+  detail::release_workers();
 
   std::string a, b, c;
   ASSERT_TRUE(client.recv(a));
